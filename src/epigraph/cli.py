@@ -244,18 +244,30 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     save_trajectory(metrics.chain([gts[i] for i in chain_idx], fps=fps),
                     os.path.join(out_dir, "gt_traj.txt"))
 
+    base_failed = []
     if cfg.eval.baseline == "eightpoint":
-        base_preds = []
+        # a pair the baseline cannot solve is left out of its report only
+        base_usable, base_preds = [], []
         for corr in usable:
-            X1, X2 = corr.normalized_points()
-            base_preds.append(epipolar.recover_pose((X1, X2)))
-        brec = metrics.build_record(pair_ids, base_preds, gts, chain_idx, fps=fps)
+            try:
+                base_preds.append(epipolar.recover_pose(corr.normalized_points()))
+            except EpigraphError as e:
+                base_failed.append(f"{corr.pair_label()} ({type(e).__name__})")
+                continue
+            base_usable.append(corr)
+        base_chain = _chain_indices(base_usable)
+        base_gts = [c.gt_relative for c in base_usable]
+        brec = metrics.build_record([c.pair_label() for c in base_usable], base_preds,
+                                    base_gts, base_chain, fps=fps)
         metrics.run_report(brec, out_dir, prefix="eightpoint")
-        save_trajectory(metrics.chain([base_preds[i] for i in chain_idx], fps=fps),
+        save_trajectory(metrics.chain([base_preds[i] for i in base_chain], fps=fps),
                         os.path.join(out_dir, "eightpoint_traj.txt"))
 
     if skipped:
         print(f"skipped {len(skipped)} unbuildable pairs: {', '.join(skipped)}")
+    if base_failed:
+        print(f"eight-point baseline failed on {len(base_failed)} pairs: "
+              f"{', '.join(base_failed)}")
     print(f"evaluated {len(usable)} pairs; reports under {out_dir}")
     for kind, p in paths.items():
         print(f"  {kind}: {p}")

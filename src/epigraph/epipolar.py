@@ -35,17 +35,27 @@ def _as_point_arrays(pairs):
     return X1.reshape(-1, 3), X2.reshape(-1, 3)
 
 
+def _frobenius(M) -> np.ndarray:
+    """Frobenius norm of each 3x3 matrix of a (S, 3, 3) stack, computed as
+    the dot product ``np.linalg.norm`` uses for a single matrix."""
+    flat = M.reshape(-1, 1, 9)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(-1))
+
+
 def canonicalize_essential(E) -> np.ndarray:
-    """Frobenius-normalize and sign-fix (largest-|entry| positive)."""
+    """Frobenius-normalize and sign-fix (largest-|entry| positive).
+
+    ``E`` is one (3, 3) matrix or a (S, 3, 3) stack, canonicalized member
+    by member.
+    """
     E = np.asarray(E, dtype=float)
-    n = np.linalg.norm(E)
-    if n < 1e-15:
+    flat = E.reshape(-1, 9)
+    n = _frobenius(flat)
+    if np.any(n < 1e-15):
         raise InvalidInputError("cannot canonicalize the zero matrix")
-    E = E / n
-    flat = E.ravel()
-    if flat[np.argmax(np.abs(flat))] < 0:
-        E = -E
-    return E
+    flat = flat / n[:, None]
+    top = np.take_along_axis(flat, np.abs(flat).argmax(axis=1)[:, None], axis=1)
+    return np.where(top < 0, -flat, flat).reshape(E.shape)
 
 
 def build_constraint_matrix(pairs) -> np.ndarray:
@@ -58,46 +68,78 @@ def build_constraint_matrix(pairs) -> np.ndarray:
 
 
 def _hartley_transform(X):
-    """Isotropic conditioning transform for homogeneous points (N, 3)."""
-    c = X[:, :2].mean(axis=0)
-    d = np.sqrt(((X[:, :2] - c) ** 2).sum(axis=1)).mean()
-    if d < 1e-12:
-        raise DegenerateGeometryError("all points coincide; cannot condition")
-    s = np.sqrt(2.0) / d
-    T = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
-    return X @ T.T, T
+    """Isotropic conditioning transforms for a (S, m, 3) stack of
+    homogeneous point sets.
+
+    Returns the conditioned points, the (S, 3, 3) transforms and a (S,)
+    mask of the sets whose points do not all coincide; a set that does
+    gets a finite stand-in transform and a False mask entry.
+    """
+    c = X[:, :, :2].mean(axis=1)
+    d = np.sqrt(((X[:, :, :2] - c[:, None, :]) ** 2).sum(axis=2)).mean(axis=1)
+    ok = ~(d < 1e-12)
+    s = np.sqrt(2.0) / np.where(ok, d, 1.0)
+    T = np.zeros((len(X), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * c
+    T[:, 2, 2] = 1.0
+    return X @ T.transpose(0, 2, 1), T, ok
 
 
 def project_to_essential(M) -> np.ndarray:
-    """Nearest (Frobenius) matrix with singular values (s, s, 0)."""
+    """Nearest (Frobenius) matrix with singular values (s, s, 0).
+
+    ``M`` is one (3, 3) matrix or a (S, 3, 3) stack, projected member by
+    member.
+    """
     M = np.asarray(M, dtype=float)
-    if np.linalg.norm(M) < 1e-15:
+    if np.any(_frobenius(M) < 1e-15):
         raise InvalidInputError("cannot project the zero matrix")
     U, S, Vt = np.linalg.svd(M)
-    s = 0.5 * (S[0] + S[1])
-    return U @ np.diag([s, s, 0.0]) @ Vt
+    D = np.zeros(M.shape)
+    D[..., 0, 0] = D[..., 1, 1] = 0.5 * (S[..., 0] + S[..., 1])
+    return U @ D @ Vt
 
 
-def solve_eight_point(pairs) -> np.ndarray:
+def solve_eight_point(pairs):
     """Normalized eight-point solve on intrinsics-normalized pairs.
 
     Hartley isotropic renormalization is applied internally as a
     conditioning safeguard.  The result is projected to the essential
     manifold and canonicalized (unit Frobenius norm, fixed sign).
+
+    ``pairs`` is one set of N >= 8 pairs, returning E (3, 3); an
+    unsolvable set raises DegenerateGeometryError.  It may instead be a
+    tuple of two (S, m, 3) arrays, S subsets of m >= 8 pairs each, solved
+    in one batched SVD: the result is then ``(E, ok)``, E (S, 3, 3) and
+    ok an (S,) mask of the solvable subsets, whose E equals the single
+    solve of that subset; the other members of E are zero.
     """
     X1, X2 = _as_point_arrays(pairs)
-    if len(X1) < 8:
-        raise InsufficientCorrespondencesError(f"need >= 8 correspondences, got {len(X1)}")
-    X1c, T1 = _hartley_transform(X1)
-    X2c, T2 = _hartley_transform(X2)
-    A = np.einsum("ni,nj->nij", X2c, X1c).reshape(-1, 9)
-    _, S, Vt = np.linalg.svd(A, full_matrices=True)
+    stacked = X1.ndim == 3
+    if not stacked:
+        X1, X2 = X1[None], X2[None]
+    n_sets, m = X1.shape[:2]
+    if m < 8:
+        raise InsufficientCorrespondencesError(f"need >= 8 correspondences, got {m}")
+    X1c, T1, ok1 = _hartley_transform(X1)
+    X2c, T2, ok2 = _hartley_transform(X2)
+    if not stacked and not (ok1[0] and ok2[0]):
+        raise DegenerateGeometryError("all points coincide; cannot condition")
+    A = np.einsum("sni,snj->snij", X2c, X1c).reshape(n_sets, m, 9)
+    # U is discarded; a reduced SVD still yields the whole 9x9 Vt when m >= 9
+    _, S, Vt = np.linalg.svd(A, full_matrices=m < 9)
     # rank(A) must be >= 8 so the nullspace direction is well determined
-    if S[7] < 1e-10 * S[0]:
+    ok = ok1 & ok2 & ~(S[:, 7] < 1e-10 * S[:, 0])
+    if not stacked and not ok[0]:
         raise DegenerateGeometryError("constraint matrix is rank-deficient (rank < 8)")
-    E = Vt[-1].reshape(3, 3)
-    E = T2.T @ E @ T1
-    return canonicalize_essential(project_to_essential(E))
+    E = T2[ok].transpose(0, 2, 1) @ Vt[ok, -1].reshape(-1, 3, 3) @ T1[ok]
+    if not stacked:
+        return canonicalize_essential(project_to_essential(E))[0]
+    out = np.zeros((n_sets, 3, 3))
+    if ok.any():
+        out[ok] = canonicalize_essential(project_to_essential(E))
+    return out, ok
 
 
 def _validate_essential(E, tol=1e-6):
@@ -135,20 +177,30 @@ def decompose_essential(E) -> list[Pose]:
 
 
 def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
-    """Linear two-view triangulation; returns the 3-D point in view-1 coords."""
+    """Linear two-view triangulation; returns 3-D points in view-1 coords.
+
+    ``x1`` and ``x2`` are one homogeneous point each, giving a (3,) point,
+    or (N, 3) stacks, giving (N, 3) points triangulated in one batched SVD
+    of the (N, 4, 4) DLT systems.  A point whose homogeneous scale has
+    |w| < 1e-15 comes back as a row of inf.
+    """
+    single = np.ndim(x1) == 1
+    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     P2 = np.hstack([R, np.asarray(t, dtype=float).reshape(3, 1)])
-    A = np.array([
-        x1[0] * P1[2] - P1[0],
-        x1[1] * P1[2] - P1[1],
-        x2[0] * P2[2] - P2[0],
-        x2[1] * P2[2] - P2[1],
-    ])
+    A = np.stack([
+        x1[:, 0:1] * P1[2] - P1[0],
+        x1[:, 1:2] * P1[2] - P1[1],
+        x2[:, 0:1] * P2[2] - P2[0],
+        x2[:, 1:2] * P2[2] - P2[1],
+    ], axis=1)
     _, _, Vt = np.linalg.svd(A)
-    X = Vt[-1]
-    if abs(X[3]) < 1e-15:
-        return np.full(3, np.inf)
-    return X[:3] / X[3]
+    X = Vt[:, -1]
+    finite = ~(np.abs(X[:, 3:]) < 1e-15)
+    out = np.divide(X[:, :3], X[:, 3:], out=np.full((len(X), 3), np.inf),
+                    where=finite)
+    return out[0] if single else out
 
 
 def cheirality_select(candidates, pairs) -> Pose:
@@ -161,17 +213,10 @@ def cheirality_select(candidates, pairs) -> Pose:
     counts = []
     for cand in candidates:
         R = cand.rotation()
-        t = cand.t
-        good = 0
-        for x1, x2 in zip(X1, X2):
-            X = triangulate_dlt(x1, x2, R, t)
-            if not np.all(np.isfinite(X)):
-                continue
-            z1 = X[2]
-            z2 = (R @ X + t)[2]
-            if z1 > 0 and z2 > 0:
-                good += 1
-        counts.append(good)
+        X = triangulate_dlt(X1, X2, R, cand.t)
+        X = X[np.isfinite(X).all(axis=1)]
+        z2 = X @ R[2] + cand.t[2]
+        counts.append(int(np.count_nonzero((X[:, 2] > 0) & (z2 > 0))))
     best = max(counts)
     winners = [c for c, n in zip(candidates, counts) if n == best]
     if len(winners) > 1:
@@ -190,34 +235,30 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
                 seed: int = 0) -> np.ndarray:
     """Initial essential estimate from a minimal high-confidence subset.
 
-    Seeds with the m most confident correspondences, then runs a bounded
-    resample loop (``iters`` random m-subsets); every candidate solve is
-    scored by its Sampson inlier count at threshold tau over the whole
-    set and the best is returned.  Deterministic given the seed.
+    Seeds with the m most confident correspondences, then draws ``iters``
+    random m-subsets.  The 1 + iters subsets, a (1 + iters, m, 3) stack of
+    points per image, are solved in one stacked ``solve_eight_point``
+    call, and every solvable candidate is scored by its Sampson inlier
+    count at threshold tau over the whole set, all at once as a
+    (1 + iters, N) distance array.  The first candidate with the most
+    inliers is returned, so the confidence-seeded one wins ties.
+    Deterministic given the seed.
     """
     X1, X2 = corr.normalized_points()
     n = len(X1)
     if n < 8:
         raise InsufficientCorrespondencesError(f"need >= 8 correspondences, got {n}")
     m = min(m, n)
+    if m < 8:
+        raise DegenerateGeometryError("no candidate subset yielded a solvable system")
     conf = np.asarray(corr.confidences(), dtype=float)
     # stable top-m by confidence, ties by original index
     order = np.lexsort((np.arange(n), -conf))
-    subsets = [order[:m]]
     rng = np.random.default_rng(seed)
-    for _ in range(iters):
-        subsets.append(rng.choice(n, size=m, replace=False))
-
-    best = None
-    for idx in subsets:
-        try:
-            E = solve_eight_point((X1[idx], X2[idx]))
-        except (DegenerateGeometryError, InsufficientCorrespondencesError):
-            continue
-        count = int((sampson_distances(X1, X2, E) < tau).sum())
-        # strict > keeps the confidence-seeded candidate on ties
-        if best is None or count > best[0]:
-            best = (count, E)
-    if best is None:
+    subsets = np.stack([order[:m]] + [rng.choice(n, size=m, replace=False)
+                                      for _ in range(iters)])
+    E, ok = solve_eight_point((X1[subsets], X2[subsets]))
+    if not ok.any():
         raise DegenerateGeometryError("no candidate subset yielded a solvable system")
-    return best[1]
+    counts = np.where(ok, (sampson_distances(X1, X2, E) < tau).sum(axis=1), -1)
+    return E[np.argmax(counts)]

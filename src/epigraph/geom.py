@@ -267,23 +267,25 @@ def sampson_distance(x1, x2, E, full_denominator: bool = False) -> float:
 
 def sampson_distances(X1, X2, E, full_denominator: bool = False) -> np.ndarray:
     """Vectorized Sampson distances; degenerate denominators map to +inf
-    (0 when the residual is exactly 0 as well)."""
+    (0 when the residual is exactly 0 as well).
+
+    ``E`` is one (3, 3) matrix, giving (N,) distances, or a (S, 3, 3)
+    stack, giving (S, N): every point pair under every matrix.
+    """
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     E = np.asarray(E, dtype=float)
-    Ex1 = X1 @ E.T
+    Ex1 = X1 @ np.swapaxes(E, -1, -2)
     Etx2 = X2 @ E
-    r2 = np.einsum("ij,ij->i", X2, Ex1) ** 2
+    r2 = np.einsum("...ij,...ij->...i", X2, Ex1) ** 2
     if full_denominator:
-        den = np.einsum("ij,ij->i", Ex1, Ex1) + np.einsum("ij,ij->i", Etx2, Etx2)
+        den = (np.einsum("...ij,...ij->...i", Ex1, Ex1)
+               + np.einsum("...ij,...ij->...i", Etx2, Etx2))
     else:
-        den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
+        den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
     bad = den < 1e-18
-    out = np.empty(len(r2))
-    ok = ~bad
-    out[ok] = r2[ok] / den[ok]
-    out[bad] = np.where(r2[bad] == 0.0, 0.0, np.inf)
-    return out
+    return np.where(bad, np.where(r2 == 0.0, 0.0, np.inf),
+                    r2 / np.where(bad, 1.0, den))
 
 
 def relative_pose(Ti: Pose, Tj: Pose) -> Pose:

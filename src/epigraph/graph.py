@@ -72,20 +72,33 @@ class EpipolarGraph:
 # ---------------------------------------------------------------------------
 
 def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    """(N, N) Euclidean distances, summing the squared coordinate
+    differences in coordinate order without an (N, N, d) temporary."""
+    sq = np.zeros((len(coords), len(coords)))
+    for c in coords.T:
+        sq += (c[:, None] - c[None, :]) ** 2
+    return np.sqrt(sq)
 
 
-def _knn_lists(D: np.ndarray, k: int):
-    """k nearest neighbors per row, self excluded, ties by smaller index."""
+def _knn_lists(D: np.ndarray, k: int) -> np.ndarray:
+    """(N, k) nearest neighbors per row, nearest first, self excluded, ties
+    by smaller index."""
     n = len(D)
-    out = []
-    idx = np.arange(n)
-    for i in range(n):
-        others = idx[idx != i]
-        order = np.lexsort((others, D[i, others]))
-        out.append(others[order[:k]])
-    return out
+    D = D.copy()
+    np.fill_diagonal(D, np.inf)
+    rows = np.arange(n)[:, None]
+    nbrs = np.sort(np.argpartition(D, k - 1, axis=1)[:, :k], axis=1)
+    # argpartition splits a tie at the k-th distance arbitrarily; rows with
+    # such a tie take the first k of a stable sort instead
+    kth = D[rows, nbrs].max(axis=1, keepdims=True)
+    split = (D <= kth).sum(axis=1) > k
+    if split.any():
+        nbrs[split] = np.sort(np.argsort(D[split], axis=1, kind="stable")[:, :k],
+                              axis=1)
+    # candidate indices ascend, so a stable sort by distance breaks ties
+    # toward the smaller index
+    order = np.argsort(D[rows, nbrs], axis=1, kind="stable")
+    return np.take_along_axis(nbrs, order, axis=1)
 
 
 def build_edges(coords, variant: str = "hard", k: int | None = None,
@@ -114,7 +127,7 @@ def build_edges(coords, variant: str = "hard", k: int | None = None,
         if radius is None or radius <= 0:
             raise InvalidInputError("radius variant needs radius > 0")
         src, dst = np.nonzero((D < radius) & ~np.eye(n, dtype=bool))
-        return [(int(i), int(j), 1.0) for i, j in zip(src, dst)]
+        return list(zip(src.tolist(), dst.tolist(), [1.0] * len(src)))
 
     if k is None or k < 1:
         raise InvalidInputError("k-NN variants need k >= 1")
@@ -122,18 +135,20 @@ def build_edges(coords, variant: str = "hard", k: int | None = None,
         warnings.warn(f"k={k} >= {n} points; clamped to {n - 1}")
         k = n - 1
     nbrs = _knn_lists(D, k)
+    src = np.repeat(np.arange(n), k)
+    dst = nbrs.ravel()
 
-    if variant == "hard":
-        return [(i, int(j), 1.0) for i in range(n) for j in nbrs[i]]
     if variant == "mutual":
-        nbr_sets = [set(map(int, js)) for js in nbrs]
-        return [(i, int(j), 1.0) for i in range(n) for j in nbrs[i]
-                if i in nbr_sets[int(j)]]
-    # soft
-    kth = np.array([D[i, nbrs[i][-1]] for i in range(n)])
-    sigma = max(float(kth.mean()), 1e-12)
-    return [(i, int(j), float(np.exp(-D[i, j] ** 2 / (2 * sigma ** 2))))
-            for i in range(n) for j in nbrs[i]]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[src, dst] = True
+        keep = adj[dst, src]
+        src, dst = src[keep], dst[keep]
+    if variant == "soft":
+        sigma = max(float(D[np.arange(n), nbrs[:, -1]].mean()), 1e-12)
+        w = np.exp(-D[src, dst] ** 2 / (2 * sigma ** 2)).tolist()
+    else:
+        w = [1.0] * len(src)
+    return list(zip(src.tolist(), dst.tolist(), w))
 
 
 def median_kth_distance(coords, k: int = 6) -> float:
@@ -145,7 +160,7 @@ def median_kth_distance(coords, k: int = 6) -> float:
     kk = min(k, n - 1)
     D = _pairwise_distances(coords)
     nbrs = _knn_lists(D, kk)
-    return float(np.median([D[i, nbrs[i][-1]] for i in range(n)]))
+    return float(np.median(D[np.arange(n), nbrs[:, -1]]))
 
 
 # ---------------------------------------------------------------------------

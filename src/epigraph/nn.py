@@ -588,7 +588,11 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, meta) reproducing forwards bit-identically."""
+    """Returns (params, config, meta) reproducing forwards bit-identically.
+
+    The tensors must be exactly those ``init_params(config)`` makes, with
+    the same shapes; a checkpoint that differs raises FormatError.
+    """
     with open(path) as f:
         raw = f.read().splitlines()
     if not raw or raw[0] != CKPT_HEADER:
@@ -634,6 +638,16 @@ def load_checkpoint(path):
         ms[name] = read_array(pos + 1)
         vs[name] = read_array(pos + 2)
         pos += 3
+    expected = init_params(config).tensors
+    missing = [k for k in expected if k not in tensors]
+    unexpected = [k for k in tensors if k not in expected]
+    if missing or unexpected:
+        raise FormatError(f"checkpoint tensors do not match its config: missing "
+                          f"{missing}, unexpected {unexpected}")
+    for name, ref in expected.items():
+        if tensors[name].shape != ref.shape:
+            raise FormatError(f"tensor {name} has shape {tensors[name].shape}, "
+                              f"its config needs {ref.shape}")
     params = ModelParams(tensors)
     params.m = ms
     params.v = vs

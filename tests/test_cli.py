@@ -118,6 +118,37 @@ class TestEval:
         for k in a:
             assert a[k] == b[k], k
 
+    def test_failing_baseline_pair_is_skipped_in_its_report_only(
+            self, trained_root, capsys, monkeypatch):
+        from epigraph import epipolar
+        from epigraph.errors import AmbiguousCheiralityError
+
+        real = epipolar.recover_pose
+        calls = []
+
+        def flaky(pairs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise AmbiguousCheiralityError("tie in test", [])
+            return real(pairs)
+
+        monkeypatch.setattr(epipolar, "recover_pose", flaky)
+        manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
+        rc = run(["eval"] + base_args(trained_root,
+                 ["--set", "dataset.kind=files",
+                  "--set", f"dataset.manifest={manifest}",
+                  "--set", "eval.baseline=eightpoint",
+                  "--set", "eval.out_dir=out_flaky"]))
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "eight-point baseline failed on 1 pairs: seq:1:2 (AmbiguousCheiralityError)" in out
+        out_dir = os.path.join(trained_root, "out_flaky")
+        model = json.load(open(os.path.join(out_dir, "model_summary.json")))
+        base = json.load(open(os.path.join(out_dir, "eightpoint_summary.json")))
+        assert base["n_pairs"] == model["n_pairs"] - 1
+        rows = open(os.path.join(out_dir, "eightpoint_pairs.csv")).read()
+        assert "seq:1:2" not in rows and "seq:0:1" in rows
+
     def test_intrinsics_mismatch_rejected(self, trained_root, capsys):
         manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
         rc = run(["eval"] + base_args(trained_root,

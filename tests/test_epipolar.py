@@ -10,6 +10,7 @@ from epigraph.epipolar import (
     project_to_essential,
     recover_pose,
     solve_eight_point,
+    triangulate_dlt,
 )
 from epigraph.errors import (
     AmbiguousCheiralityError,
@@ -18,7 +19,7 @@ from epigraph.errors import (
     InvalidEssentialError,
     InvalidInputError,
 )
-from epigraph.geom import Pose, essential_from_pose, quat_from_axis_angle
+from epigraph.geom import Pose, essential_from_pose, quat_from_axis_angle, sampson_distances
 from epigraph.synth import DEFAULT_INTRINSICS, generate_scene
 
 
@@ -276,3 +277,160 @@ def test_canonicalize_scale_and_sign():
     assert np.allclose(canonicalize_essential(-3.7 * M), C, atol=1e-12)
     with pytest.raises(InvalidInputError):
         canonicalize_essential(np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms against scalar references
+# ---------------------------------------------------------------------------
+
+def dlt_reference(x1, x2, R, t):
+    """One point at a time: the DLT system and its SVD as written per point."""
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    P2 = np.hstack([R, np.asarray(t, dtype=float).reshape(3, 1)])
+    A = np.array([x1[0] * P1[2] - P1[0], x1[1] * P1[2] - P1[1],
+                  x2[0] * P2[2] - P2[0], x2[1] * P2[2] - P2[1]])
+    X = np.linalg.svd(A)[2][-1]
+    return np.full(3, np.inf) if abs(X[3]) < 1e-15 else X[:3] / X[3]
+
+
+class TestTriangulateBatch:
+    def test_batch_matches_per_point_loop(self):
+        pose = small_pose(40)
+        X1, X2 = scene_points(pose, seed=41, n=50, noise=1.0)
+        # parallel rays: the first point seen along the same direction in
+        # both views with R = I triangulates to infinity (w -> 0)
+        X2 = X2.copy()
+        X2[0] = X1[0]
+        R = np.eye(3)
+        t = np.array([0.4, 0.1, 0.2])
+        ref = np.array([dlt_reference(a, b, R, t) for a, b in zip(X1, X2)])
+        assert np.all(np.isinf(ref[0]))
+        batch = triangulate_dlt(X1, X2, R, t)
+        assert batch.shape == (50, 3)
+        assert np.array_equal(batch, ref)
+        for i in (0, 7, 49):
+            assert np.array_equal(triangulate_dlt(X1[i], X2[i], R, t), ref[i])
+
+    def test_single_point_shape(self):
+        pose = small_pose(42)
+        X1, X2 = scene_points(pose, seed=43, n=1)
+        X = triangulate_dlt(X1[0], X2[0], pose.rotation(), pose.t)
+        assert X.shape == (3,)
+
+    def test_cheirality_counts_match_per_point_loop(self):
+        pose = small_pose(44, rot_deg=10.0)
+        corr = generate_scene(45, 80, (3.0, 10.0), pose, noise_px=1.0,
+                              outlier_fraction=0.4)
+        X1, X2 = corr.normalized_points()
+        cands = decompose_essential(solve_eight_point((X1, X2)))
+        counts = []
+        for c in cands:
+            R, t = c.rotation(), c.t
+            good = 0
+            for x1, x2 in zip(X1, X2):
+                X = dlt_reference(x1, x2, R, t)
+                if np.all(np.isfinite(X)) and X[2] > 0 and (R @ X + t)[2] > 0:
+                    good += 1
+            counts.append(good)
+        assert counts.count(max(counts)) == 1
+        sel = cheirality_select(cands, (X1, X2))
+        assert sel is cands[counts.index(max(counts))]
+
+
+def coplanar_pure_rotation(n, seed=11):
+    """A fronto-parallel plane seen under zero translation: rank(A) < 8."""
+    R = np.array(Pose(quat_from_axis_angle([0, 0, 1], 0.2), [0, 0, 0]).rotation())
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(-0.5, 0.5, n),
+                           rng.uniform(-0.5, 0.5, n), np.full(n, 5.0)])
+    X2p = (R @ pts.T).T
+    return pts / pts[:, 2:3], X2p / X2p[:, 2:3]
+
+
+class TestStackedEightPoint:
+    @pytest.mark.parametrize("m", [8, 9, 20])
+    def test_stack_matches_per_subset_calls(self, m):
+        pose = small_pose(46)
+        X1, X2 = scene_points(pose, seed=47, n=60, noise=0.5)
+        rng = np.random.default_rng(48)
+        idx = np.stack([rng.choice(60, size=m, replace=False) for _ in range(6)])
+        S1, S2 = X1[idx], X2[idx]
+        # member 2 is rank-deficient, member 4 has all points coinciding
+        S1[2], S2[2] = coplanar_pure_rotation(m)
+        S1[4] = S2[4] = [0.0, 0.0, 1.0]
+        E, ok = solve_eight_point((S1, S2))
+        assert E.shape == (6, 3, 3)
+        assert ok.tolist() == [True, True, False, True, False, True]
+        for s in range(6):
+            if ok[s]:
+                assert np.array_equal(E[s], solve_eight_point((S1[s], S2[s])))
+            else:
+                assert not E[s].any()
+                with pytest.raises(DegenerateGeometryError):
+                    solve_eight_point((S1[s], S2[s]))
+
+    def test_stack_too_few_per_subset(self):
+        X = np.tile([0.1, 0.2, 1.0], (3, 7, 1))
+        with pytest.raises(InsufficientCorrespondencesError):
+            solve_eight_point((X, X))
+
+    def test_sampson_distances_stacked(self):
+        pose = small_pose(49)
+        X1, X2 = scene_points(pose, seed=50, n=30, noise=1.0)
+        rng = np.random.default_rng(51)
+        Es = np.stack([essential_from_pose(pose)] + [rng.normal(size=(3, 3))
+                                                    for _ in range(3)])
+        d = sampson_distances(X1, X2, Es)
+        assert d.shape == (4, 30)
+        for s in range(4):
+            assert np.allclose(d[s], sampson_distances(X1, X2, Es[s]),
+                               rtol=1e-12, atol=0)
+
+
+def e0_reference(corr, tau=1e-4, m=16, iters=32, seed=0):
+    """The resample loop one subset at a time, strict > on the inlier count."""
+    X1, X2 = corr.normalized_points()
+    n = len(X1)
+    m = min(m, n)
+    order = np.lexsort((np.arange(n), -np.asarray(corr.confidences(), dtype=float)))
+    rng = np.random.default_rng(seed)
+    subsets = [order[:m]] + [rng.choice(n, size=m, replace=False) for _ in range(iters)]
+    best = None
+    for idx in subsets:
+        try:
+            E = solve_eight_point((X1[idx], X2[idx]))
+        except DegenerateGeometryError:
+            continue
+        count = int((sampson_distances(X1, X2, E) < tau).sum())
+        if best is None or count > best[0]:
+            best = (count, E)
+    return best[1]
+
+
+class TestStackedE0:
+    @pytest.mark.parametrize("scene_seed,n,outliers,seed", [
+        (29, 120, 0.7, 0),   # the fixtures of TestEstimateE0
+        (31, 60, 0.0, 5),
+        (35, 80, 0.5, 3),
+        (52, 200, 0.3, 1),
+        (53, 9, 0.0, 2),     # m clamps to n
+    ])
+    def test_matches_subset_loop(self, scene_seed, n, outliers, seed):
+        corr = generate_scene(scene_seed, n, (3.0, 10.0), small_pose(scene_seed),
+                              noise_px=0.5, outlier_fraction=outliers)
+        E0 = estimate_E0(corr, seed=seed)
+        assert np.allclose(E0, e0_reference(corr, seed=seed), rtol=0, atol=1e-12)
+
+    def test_confidence_seed_wins_ties(self):
+        # noiseless inliers only: every subset scores all N points as inliers,
+        # so the confidence-seeded first candidate is the one returned
+        corr = generate_scene(54, 40, (3.0, 10.0), small_pose(54))
+        X1, X2 = corr.normalized_points()
+        order = np.lexsort((np.arange(40), -corr.confidences()))
+        first = solve_eight_point((X1[order[:16]], X2[order[:16]]))
+        assert np.array_equal(estimate_E0(corr, seed=7), first)
+
+    def test_subset_smaller_than_eight_is_degenerate(self):
+        corr = generate_scene(55, 30, (3.0, 10.0), small_pose(55))
+        with pytest.raises(DegenerateGeometryError):
+            estimate_E0(corr, m=7)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigraph.epipolar import canonicalize_essential
 from epigraph.errors import EmptyGraphError, InvalidInputError, SchemaVersionError, ValidationError
 from epigraph.geom import Intrinsics, Pose, essential_from_pose, quat_from_axis_angle
 from epigraph.graph import (
     EpipolarGraph,
+    _knn_lists,
+    _pairwise_distances,
     GraphParams,
     build_edges,
     build_graph,
@@ -104,6 +108,65 @@ class TestBuildEdges:
         with pytest.raises(InvalidInputError):
             build_edges(coords, "banana", k=3)
 
+
+
+def knn_lexsort_reference(D, k):
+    """Per-row lexsort on (distance, index) over the other points."""
+    idx = np.arange(len(D))
+    out = []
+    for i in range(len(D)):
+        others = idx[idx != i]
+        out.append(others[np.lexsort((others, D[i, others]))[:k]])
+    return np.array(out)
+
+
+@st.composite
+def tied_clouds(draw):
+    """Small clouds on a coarse grid, so many distances tie exactly, and a
+    k in 1..N-1."""
+    n = draw(st.integers(2, 40))
+    cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.25]))
+    coords = np.column_stack([np.array(cells, dtype=float) * scale, np.ones(n)])
+    return coords, draw(st.integers(1, n - 1))
+
+
+class TestVectorizedKnn:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_clouds())
+    def test_knn_lists_match_lexsort_on_ties(self, case):
+        coords, k = case
+        D = _pairwise_distances(coords)
+        assert np.array_equal(_knn_lists(D, k), knn_lexsort_reference(D, k))
+
+    def test_knn_lists_match_lexsort_on_rounded_scene(self):
+        corr = generate_scene(60, 200, (3, 10), small_pose(60), outlier_fraction=0.3)
+        X1, _ = corr.normalized_points()
+        for decimals in (1, 2, 8):
+            D = _pairwise_distances(np.round(X1, decimals))
+            for k in (1, 6, 30):
+                assert np.array_equal(_knn_lists(D, k), knn_lexsort_reference(D, k))
+
+    def test_pairwise_distances_bitwise(self):
+        rng = np.random.default_rng(61)
+        coords = rng.normal(size=(70, 3))
+        diff = coords[:, None, :] - coords[None, :, :]
+        assert np.array_equal(_pairwise_distances(coords),
+                              np.sqrt((diff ** 2).sum(axis=2)))
+
+    def test_edge_lists_keep_row_major_order(self):
+        rng = np.random.default_rng(62)
+        coords = np.round(rng.normal(size=(40, 3)), 1)
+        D = _pairwise_distances(coords)
+        nbrs = knn_lexsort_reference(D, 5)
+        hard = build_edges(coords, "hard", k=5)
+        assert hard == [(i, int(j), 1.0) for i in range(40) for j in nbrs[i]]
+        mutual = build_edges(coords, "mutual", k=5)
+        assert mutual == [(i, int(j), 1.0) for i in range(40) for j in nbrs[i]
+                          if i in nbrs[j]]
+        assert all(type(s) is int and type(d) is int and type(w) is float
+                   for s, d, w in hard + mutual + build_edges(coords, "soft", k=5))
 
 class TestSampsonFilter:
     def test_noiseless_inliers_all_kept(self):

@@ -386,6 +386,31 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
 
+    @staticmethod
+    def _saved_lines(tmp_path):
+        cfg = nn.preset_config("GAT+2GCN", hidden=8)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, nn.init_params(cfg, 0), cfg, {})
+        return path, path.read_text().splitlines()
+
+    def test_dropped_tensor_rejected(self, tmp_path):
+        from epigraph.errors import FormatError
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(next(ln for ln in lines if ln.startswith("tensor L0.W ")))
+        path.write_text("\n".join(lines[:at] + lines[at + 4:]) + "\n")
+        with pytest.raises(FormatError, match="missing \\['L0.W'\\]"):
+            nn.load_checkpoint(path)
+
+    def test_reshaped_tensor_rejected(self, tmp_path):
+        from epigraph.errors import FormatError
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(next(ln for ln in lines if ln.startswith("tensor head_t.W ")))
+        _, name, ndim, rows, cols = lines[at].split()
+        lines[at] = f"tensor {name} {ndim} {cols} {rows}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="head_t.W has shape"):
+            nn.load_checkpoint(path)
+
 class TestConfigObjects:
     def test_preset_shapes(self):
         cfg = nn.preset_config("3GCN+GAT")
