@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .geom import Pose
-from .graph import build_graph
+from .graph import build_graph  # noqa: F401  re-exported as cli.build_graph
 from .losses import PoseTarget
 from .seeding import subseed
 from .synth import (
@@ -52,20 +52,27 @@ def _spacing_tag(s: float) -> str:
     return ("%g" % s).replace(".", "p")
 
 
+def _trajectory(cfg: ExperimentConfig):
+    ds = cfg.dataset
+    return generate_trajectory(subseed(cfg.seed, "dataset", "trajectory"),
+                               ds.n_frames, ds.motion, fps=ds.fps, step_m=ds.step_m)
+
+
+def _scene(cfg: ExperimentConfig, pair):
+    """The synthetic correspondence set of one sampled pair; deterministic."""
+    ds = cfg.dataset
+    return generate_scene(
+        subseed(cfg.seed, "dataset", ds.sequence, pair.i, pair.j), ds.n_points,
+        (ds.depth_min, ds.depth_max), pair.gt_relative, ds.intrinsics(),
+        ds.noise_px, ds.outlier_fraction, ds.width, ds.height,
+        pair_id=(ds.sequence, pair.i, pair.j))
+
+
 def synthesize_dataset(cfg: ExperimentConfig):
     """In-memory pairs for every configured spacing; deterministic."""
-    ds = cfg.dataset
-    traj = generate_trajectory(subseed(cfg.seed, "dataset", "trajectory"),
-                               ds.n_frames, ds.motion, fps=ds.fps, step_m=ds.step_m)
-    corrs = []
-    for s in ds.spacings:
-        for pair in sample_pairs(traj, SamplingSpec(s, fps=ds.fps)):
-            scene_seed = subseed(cfg.seed, "dataset", ds.sequence, pair.i, pair.j)
-            corrs.append(generate_scene(
-                scene_seed, ds.n_points, (ds.depth_min, ds.depth_max),
-                pair.gt_relative, ds.intrinsics(), ds.noise_px,
-                ds.outlier_fraction, ds.width, ds.height,
-                pair_id=(ds.sequence, pair.i, pair.j)))
+    traj = _trajectory(cfg)
+    corrs = [_scene(cfg, pair) for s in cfg.dataset.spacings
+             for pair in sample_pairs(traj, SamplingSpec(s, fps=cfg.dataset.fps))]
     return traj, corrs
 
 
@@ -143,8 +150,7 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     root = cfg.resolved_out_root()
     out = os.path.join(root, "dataset")
     os.makedirs(out, exist_ok=True)
-    traj = generate_trajectory(subseed(cfg.seed, "dataset", "trajectory"),
-                               ds.n_frames, ds.motion, fps=ds.fps, step_m=ds.step_m)
+    traj = _trajectory(cfg)
     save_trajectory(traj, os.path.join(out, "trajectory.txt"))
     for s in ds.spacings:
         spec = SamplingSpec(s, fps=ds.fps)
@@ -154,14 +160,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
         os.makedirs(os.path.join(out, pair_dir), exist_ok=True)
         entries = []
         for pair in pairs:
-            scene_seed = subseed(cfg.seed, "dataset", ds.sequence, pair.i, pair.j)
-            corr = generate_scene(
-                scene_seed, ds.n_points, (ds.depth_min, ds.depth_max),
-                pair.gt_relative, ds.intrinsics(), ds.noise_px,
-                ds.outlier_fraction, ds.width, ds.height,
-                pair_id=(ds.sequence, pair.i, pair.j))
             rel = os.path.join(pair_dir, f"pair_{pair.i:05d}_{pair.j:05d}.txt")
-            save_correspondences(corr, os.path.join(out, rel))
+            save_correspondences(_scene(cfg, pair), os.path.join(out, rel))
             entries.append((ds.sequence, pair.i, pair.j, rel))
         write_manifest(os.path.join(out, f"manifest_s{tag}.txt"),
                        "trajectory.txt", ds.fps, s, spec.step, ds.sequence, entries)
@@ -170,18 +170,20 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _train_config(cfg: ExperimentConfig, graph, epochs: int) -> train_mod.TrainConfig:
+    return train_mod.TrainConfig(
+        model=cfg.model_config(), graph=graph, weights=cfg.weights(),
+        batch_size=cfg.train.batch_size, lr=cfg.train.lr, epochs=epochs,
+        split=cfg.train.split, seed=cfg.seed, normalized_e=cfg.loss.normalized_e)
+
+
 def cmd_train(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     _, corrs = load_dataset(cfg)
     root = cfg.resolved_out_root()
     os.makedirs(root, exist_ok=True)
     ckpt_path = checkpoint or os.path.join(root, "checkpoint.txt")
-    tcfg = train_mod.TrainConfig(
-        model=cfg.model_config(), graph=cfg.graph, weights=cfg.weights(),
-        batch_size=cfg.train.batch_size, lr=cfg.train.lr,
-        epochs=cfg.train.epochs, split=cfg.train.split, seed=cfg.seed,
-        normalized_e=cfg.loss.normalized_e,
-        prebuild_workers=cfg.train.prebuild_workers)
-    report = train_mod.train(tcfg, corrs, ckpt_path)
+    report = train_mod.train(_train_config(cfg, cfg.graph, cfg.train.epochs),
+                             corrs, ckpt_path)
     report_path = os.path.join(root, "train_report.txt")
     train_mod.write_report(report, report_path)
     print(f"best epoch {report.best_epoch} "
@@ -206,6 +208,18 @@ def _chain_indices(corrs):
     return out
 
 
+def _write_reports(prefix: str, corrs, poses, out_dir, fps: float) -> dict:
+    """Pair, frame and summary reports of one pose source over ``corrs``,
+    and its chained trajectory ``<prefix>_traj.txt``; returns the report
+    paths."""
+    chain_idx = _chain_indices(corrs)
+    rec = metrics.build_record([c.pair_label() for c in corrs], poses,
+                               [c.gt_relative for c in corrs], chain_idx, fps=fps)
+    save_trajectory(metrics.chain([poses[i] for i in chain_idx], fps=fps),
+                    os.path.join(out_dir, f"{prefix}_traj.txt"))
+    return metrics.run_report(rec, out_dir, prefix=prefix)
+
+
 def cmd_eval(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     _, corrs = load_dataset(cfg)
     root = cfg.resolved_out_root()
@@ -213,18 +227,15 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = checkpoint or os.path.join(root, "checkpoint.txt")
 
-    params, model_cfg, meta = nn.load_checkpoint(ckpt_path)
-    gp = train_mod.graph_params_from_meta(meta)
-    weights = train_mod.weights_from_meta(meta)
+    model = train_mod.load_model(ckpt_path)
 
-    usable, preds, skipped = [], [], []
     for corr in corrs:
         if corr.gt_relative is None:
             raise ValidationError(f"pair {corr.pair_label()} has no ground truth")
-        try:
-            g = build_graph(corr, params=gp)
-            out, _ = nn.model_forward(nn.graph_tensors(g), params, model_cfg)
-        except EpigraphError:
+    # a pair whose graph or forward pass fails is skipped and listed
+    usable, preds, skipped = [], [], []
+    for corr, out in zip(corrs, train_mod.predict(model, corrs)):
+        if isinstance(out, EpigraphError):
             skipped.append(corr.pair_label())
             continue
         usable.append(corr)
@@ -232,17 +243,10 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     if not usable:
         raise ValidationError("no pair produced a usable graph")
 
-    gts = [c.gt_relative for c in usable]
-    chain_idx = _chain_indices(usable)
     fps = cfg.dataset.fps
-    pair_ids = [c.pair_label() for c in usable]
-
-    rec = metrics.build_record(pair_ids, preds, gts, chain_idx, fps=fps)
-    paths = metrics.run_report(rec, out_dir, prefix="model")
-    save_trajectory(metrics.chain([preds[i] for i in chain_idx], fps=fps),
-                    os.path.join(out_dir, "model_traj.txt"))
-    save_trajectory(metrics.chain([gts[i] for i in chain_idx], fps=fps),
-                    os.path.join(out_dir, "gt_traj.txt"))
+    paths = _write_reports("model", usable, preds, out_dir, fps)
+    gt_chain = [usable[i].gt_relative for i in _chain_indices(usable)]
+    save_trajectory(metrics.chain(gt_chain, fps=fps), os.path.join(out_dir, "gt_traj.txt"))
 
     base_failed = []
     if cfg.eval.baseline == "eightpoint":
@@ -255,13 +259,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: str | None) -> int:
                 base_failed.append(f"{corr.pair_label()} ({type(e).__name__})")
                 continue
             base_usable.append(corr)
-        base_chain = _chain_indices(base_usable)
-        base_gts = [c.gt_relative for c in base_usable]
-        brec = metrics.build_record([c.pair_label() for c in base_usable], base_preds,
-                                    base_gts, base_chain, fps=fps)
-        metrics.run_report(brec, out_dir, prefix="eightpoint")
-        save_trajectory(metrics.chain([base_preds[i] for i in base_chain], fps=fps),
-                        os.path.join(out_dir, "eightpoint_traj.txt"))
+        _write_reports("eightpoint", base_usable, base_preds, out_dir, fps)
 
     if skipped:
         print(f"skipped {len(skipped)} unbuildable pairs: {', '.join(skipped)}")
@@ -279,18 +277,18 @@ def cmd_export_embeddings(cfg: ExperimentConfig, checkpoint: str | None,
     _, corrs = load_dataset(cfg)
     root = cfg.resolved_out_root()
     ckpt_path = checkpoint or os.path.join(root, "checkpoint.txt")
-    params, model_cfg, meta = nn.load_checkpoint(ckpt_path)
-    gp = train_mod.graph_params_from_meta(meta)
-    if not (0 <= layer <= len(model_cfg.layers)):
-        raise ConfigError(f"layer {layer} out of range 0..{len(model_cfg.layers)}")
+    model = train_mod.load_model(ckpt_path)
+    if not (0 <= layer <= len(model.config.layers)):
+        raise ConfigError(f"layer {layer} out of range 0..{len(model.config.layers)}")
     path = out_path or os.path.join(root, f"embeddings_layer{layer}.csv")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     n_rows = 0
     with open(path, "w") as f:
         header_written = False
         for corr in corrs:
-            g = build_graph(corr, params=gp)
-            H, z = nn.forward_embeddings(nn.graph_tensors(g), params, model_cfg, layer)
+            # each graph is used once, so a cache per pair keeps no tensors alive
+            gtensors = train_mod.GraphCache().get(corr, model.graph)
+            H, z = nn.forward_embeddings(gtensors, model.params, model.config, layer)
             if not header_written:
                 cols = ",".join(f"e{i}" for i in range(H.shape[1]))
                 f.write(f"pair_id,node,{cols}\n")
@@ -344,35 +342,29 @@ def cmd_bench_knn(cfg: ExperimentConfig, epochs: int | None) -> int:
     root = cfg.resolved_out_root()
     os.makedirs(root, exist_ok=True)
     out_csv = os.path.join(root, "knn_bench.csv")
+    _, corrs = load_dataset(cfg)
+    chain_idx = _chain_indices(corrs)
     rows = []
     for variant in ("hard", "soft", "radius", "mutual"):
         gp = replace(cfg.graph, variant=variant,
                      radius=None if variant == "radius" else cfg.graph.radius)
-        vcfg = ExperimentConfig(
-            seed=cfg.seed, out_root=cfg.out_root, dataset=cfg.dataset, graph=gp,
-            model=cfg.model, train=cfg.train, loss=cfg.loss, eval=cfg.eval)
-        _, corrs = load_dataset(vcfg)
-
+        # each graph is built once, here for its stats; train and evaluate reuse it
+        cache = train_mod.GraphCache()
         n_nodes, n_edges, wmin, wmax = [], [], np.inf, -np.inf
         for corr in corrs:
-            g = build_graph(corr, params=gp)
+            g = cache.build(corr, gp)
             n_nodes.append(g.n_nodes)
             n_edges.append(len(g.edges))
             if g.edges:
                 w = [e[2] for e in g.edges]
                 wmin, wmax = min(wmin, min(w)), max(wmax, max(w))
 
-        tcfg = train_mod.TrainConfig(
-            model=vcfg.model_config(), graph=gp, weights=vcfg.weights(),
-            batch_size=vcfg.train.batch_size, lr=vcfg.train.lr,
-            epochs=epochs or vcfg.train.epochs, split=vcfg.train.split,
-            seed=vcfg.seed, normalized_e=vcfg.loss.normalized_e)
         ckpt = os.path.join(root, f"bench_{variant}.ckpt")
-        train_mod.train(tcfg, corrs, ckpt)
-        results = train_mod.evaluate(ckpt, corrs)
+        train_mod.train(_train_config(cfg, gp, epochs or cfg.train.epochs), corrs, ckpt,
+                        cache=cache)
+        results = train_mod.evaluate(ckpt, corrs, cache=cache)
         preds = [r[0] for r in results]
         gts = [r[1] for r in results]
-        chain_idx = _chain_indices(corrs)
         rec = metrics.build_record([c.pair_label() for c in corrs], preds, gts,
                                    chain_idx, fps=cfg.dataset.fps)
         s = rec.summary()

@@ -61,7 +61,6 @@ class TrainSection:
     lr: float = 1e-4
     epochs: int = 12
     split: float = 0.8
-    prebuild_workers: int = 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ _SCHEMA = {
               "full_denominator": "bool"},
     "model": {"preset": "str", "layers": "str", "pooling": "str", "hidden": "int"},
     "train": {"batch_size": "int", "lr": "float", "epochs": "int",
-              "split": "float", "prebuild_workers": "int"},
+              "split": "float"},
     "loss": {"lambda_pose": "float", "lambda_frob": "float",
              "lambda_svd": "float", "lambda_yaw": "float",
              "normalized_e": "bool"},

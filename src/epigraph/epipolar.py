@@ -59,12 +59,16 @@ def canonicalize_essential(E) -> np.ndarray:
 
 
 def build_constraint_matrix(pairs) -> np.ndarray:
-    """N x 9 matrix A with A @ vec(E) = [x2_i^T E x1_i]_i (row-major vec)."""
+    """N x 9 matrix A with A @ vec(E) = [x2_i^T E x1_i]_i (row-major vec).
+
+    ``pairs`` may also be a tuple of two (S, m, 3) arrays, giving the
+    (S, m, 9) stack of the S subsets' matrices.
+    """
     X1, X2 = _as_point_arrays(pairs)
-    n = len(X1)
+    n = X1.shape[-2]
     if n < 8:
         raise InsufficientCorrespondencesError(f"need >= 8 correspondences, got {n}")
-    return np.einsum("ni,nj->nij", X2, X1).reshape(n, 9)
+    return np.einsum("...i,...j->...ij", X2, X1).reshape(*X1.shape[:-1], 9)
 
 
 def _hartley_transform(X):
@@ -126,7 +130,7 @@ def solve_eight_point(pairs):
     X2c, T2, ok2 = _hartley_transform(X2)
     if not stacked and not (ok1[0] and ok2[0]):
         raise DegenerateGeometryError("all points coincide; cannot condition")
-    A = np.einsum("sni,snj->snij", X2c, X1c).reshape(n_sets, m, 9)
+    A = build_constraint_matrix((X1c, X2c))
     # U is discarded; a reduced SVD still yields the whole 9x9 Vt when m >= 9
     _, S, Vt = np.linalg.svd(A, full_matrices=m < 9)
     # rank(A) must be >= 8 so the nullspace direction is well determined

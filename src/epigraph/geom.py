@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRotationError, DegenerateGeometryError
+from .errors import InvalidInputError, InvalidRotationError
 
 _UNIT_TOL = 1e-6
 
@@ -207,13 +207,6 @@ class YawResult(NamedTuple):
 # Operations
 # ---------------------------------------------------------------------------
 
-def normalize_pixel(p, K: Intrinsics) -> np.ndarray:
-    """Intrinsics-normalize one pixel: K^-1 (px, py, 1), third component 1."""
-    p = np.asarray(p, dtype=float).reshape(2)
-    x = K.inv_matrix() @ np.array([p[0], p[1], 1.0])
-    return x / x[2]
-
-
 def normalize_pixels(P, K: Intrinsics) -> np.ndarray:
     """Batch of pixels (N, 2) -> normalized homogeneous points (N, 3)."""
     P = np.asarray(P, dtype=float).reshape(-1, 2)
@@ -241,28 +234,6 @@ def epipolar_residual(x1, x2, E) -> float:
     x1 = np.asarray(x1, dtype=float).reshape(3)
     x2 = np.asarray(x2, dtype=float).reshape(3)
     return float(x2 @ np.asarray(E, dtype=float) @ x1)
-
-
-def sampson_distance(x1, x2, E, full_denominator: bool = False) -> float:
-    """First-order squared distance of a match to the epipolar manifold.
-
-    The default denominator sums the squares of the first two components
-    of E x1 and E^T x2 (classical Sampson form); ``full_denominator``
-    switches to the full 3-vector norms.
-    """
-    x1 = np.asarray(x1, dtype=float).reshape(3)
-    x2 = np.asarray(x2, dtype=float).reshape(3)
-    E = np.asarray(E, dtype=float)
-    Ex1 = E @ x1
-    Etx2 = E.T @ x2
-    if full_denominator:
-        den = Ex1 @ Ex1 + Etx2 @ Etx2
-    else:
-        den = Ex1[0] ** 2 + Ex1[1] ** 2 + Etx2[0] ** 2 + Etx2[1] ** 2
-    if den < 1e-18:
-        raise DegenerateGeometryError("Sampson denominator vanishes")
-    r = x2 @ Ex1
-    return float(r * r / den)
 
 
 def sampson_distances(X1, X2, E, full_denominator: bool = False) -> np.ndarray:

@@ -24,12 +24,9 @@ from .errors import (
     ValidationError,
 )
 from .geom import sampson_distances
+from .synth import _fmt
 
 VARIANTS = ("hard", "soft", "radius", "mutual")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def median_kth_distance(coords, k: int = 6) -> float:
 # ---------------------------------------------------------------------------
 
 def sampson_filter(corr, E0, tau: float, full_denominator: bool = False) -> np.ndarray:
-    """Indices with sampson_distance(x1_i, x2_i, E0) < tau, order preserved."""
+    """Indices whose Sampson distance under E0 is below tau, order preserved."""
     if not tau > 0:
         raise InvalidInputError("tau must be positive")
     n = len(corr)
@@ -188,9 +185,10 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
                 E0: np.ndarray | None = None) -> EpipolarGraph:
     """Construct the pruned correspondence graph.
 
-    Pipeline: intrinsics-normalize, k-NN graph over all matches, estimate
-    E0 from a confidence-seeded minimal subset (unless one is supplied),
-    Sampson-filter at tau, then rebuild edges over the survivors.
+    Pipeline: intrinsics-normalize, estimate E0 from a confidence-seeded
+    minimal subset (unless one is supplied), Sampson-filter at tau, then
+    build edges over the survivors.  ``k_clamped`` is set when k reaches
+    the match count or the survivor count.
     """
     if params is None:
         params = GraphParams(k=k, tau=tau, variant=variant)
@@ -199,13 +197,6 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
     coords_all = X1 if params.knn_source == 1 else X2
 
     clamped = params.k >= n and n >= 2
-    radius = params.radius
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if params.variant == "radius" and radius is None:
-            radius = median_kth_distance(coords_all, params.k)
-        g1_edges = build_edges(coords_all, params.variant, k=params.k, radius=radius)
-
     if E0 is None:
         E0 = estimate_E0(corr, tau=params.tau, m=params.e0_m,
                          iters=params.e0_iters, seed=params.e0_seed)
@@ -216,12 +207,12 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
                           full_denominator=params.full_denominator)
     coords = coords_all[kept]
 
-    radius2 = params.radius
+    radius = params.radius
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if params.variant == "radius" and radius2 is None:
-            radius2 = median_kth_distance(coords, params.k) if len(coords) >= 2 else None
-        edges = build_edges(coords, params.variant, k=params.k, radius=radius2)
+        if params.variant == "radius" and radius is None:
+            radius = median_kth_distance(coords, params.k) if len(coords) >= 2 else None
+        edges = build_edges(coords, params.variant, k=params.k, radius=radius)
         clamped = clamped or any("clamped" in str(w.message) for w in caught)
 
     features = np.hstack([X1[kept], X2[kept]])
@@ -231,9 +222,8 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
         "variant": params.variant,
         "symmetrize": params.symmetrize,
         "knn_source": params.knn_source,
-        "radius": radius2,
+        "radius": radius,
         "k_clamped": clamped,
-        "g1_edges": len(g1_edges),
         "e0": E0,
     }
     return EpipolarGraph(features, edges, np.asarray(kept, dtype=int), meta)
@@ -245,7 +235,7 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
 
 GRAPH_HEADER = "# epigraph-graph v1"
 _META_ORDER = ("k", "tau", "variant", "symmetrize", "knn_source", "radius",
-               "k_clamped", "g1_edges", "e0")
+               "k_clamped", "e0")
 
 
 def export_graph(g: EpipolarGraph, path) -> None:
@@ -288,7 +278,7 @@ def import_graph(path) -> EpipolarGraph:
             meta[key] = np.array([float(v) for v in vals]).reshape(3, 3)
         elif key in ("symmetrize", "k_clamped"):
             meta[key] = bool(int(vals[0]))
-        elif key in ("k", "knn_source", "g1_edges"):
+        elif key in ("k", "knn_source"):
             meta[key] = int(vals[0])
         elif key in ("tau", "radius"):
             meta[key] = float(vals[0])

@@ -133,11 +133,6 @@ class EvalRecord:
         return out
 
 
-def pair_metrics(pred: Pose, gt: Pose) -> tuple[float, float]:
-    """(DRE deg, DTE deg) of one predicted relative pose."""
-    return (dre(pred.rotation(), gt.rotation()), dte(pred.t, gt.t))
-
-
 def build_record(pair_ids, preds, gts, chain_indices=None, fps: float = 10.0) -> EvalRecord:
     """Assemble per-pair and chained metrics.
 

@@ -26,8 +26,8 @@ from .errors import (
     ShapeError,
     StateError,
 )
+from .synth import _fmt
 
-LAYER_KINDS = ("gcn", "gat", "gin", "linear")
 ACTIVATIONS = ("relu", "tanh", "none")
 POOLINGS = ("mean", "sum")
 PRESET_NAMES = ("GAT+2GCN", "3GCN+GAT", "GIN_SumPool")
@@ -131,31 +131,49 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-a, a, size=shape)
 
 
+def _dense(rng, spec):
+    return _glorot(rng, spec.in_dim, spec.out_dim, (spec.in_dim, spec.out_dim))
+
+
+def _bias(rng, spec):
+    return np.zeros(spec.out_dim)
+
+
+def _gat_w(rng, spec):
+    dh = spec.out_dim // spec.heads
+    return _glorot(rng, spec.in_dim, dh, (spec.heads, spec.in_dim, dh))
+
+
+def _gat_a(rng, spec):
+    dh = spec.out_dim // spec.heads
+    return _glorot(rng, 2 * dh, 1, (spec.heads, dh))
+
+
+# The one layer table: per kind, its tensors in the order its forward takes
+# them, each with its initializer (called in this order, so the RNG draws and
+# the checkpoint's tensor order follow the table).  The layer functions are
+# found by module-global name at call time (``f"{kind}_forward"``), never
+# held here, so rebinding ``nn.gcn_forward`` and the others reaches every call.
+_LAYER_TENSORS = {
+    "gcn": {"W": _dense, "b": _bias},
+    "gat": {"W": _gat_w, "a_src": _gat_a, "a_dst": _gat_a, "b": _bias},
+    "gin": {"eps": lambda rng, spec: np.zeros(()),
+            "W1": _dense, "b1": _bias,
+            "W2": lambda rng, spec: _glorot(rng, spec.out_dim, spec.out_dim,
+                                            (spec.out_dim, spec.out_dim)),
+            "b2": _bias},
+    "linear": {"W": _dense, "b": _bias},
+}
+LAYER_KINDS = tuple(_LAYER_TENSORS)
+
+
 def init_params(config: ModelConfig, seed=0, feature_dim: int = 6) -> ModelParams:
     """Uniform Glorot weights, zero biases, zero GIN epsilon."""
     rng = np.random.default_rng(seed)
     t: dict[str, np.ndarray] = {}
     for i, spec in enumerate(config.layers):
-        p = f"L{i}"
-        if spec.kind in ("gcn", "linear"):
-            t[f"{p}.W"] = _glorot(rng, spec.in_dim, spec.out_dim,
-                                  (spec.in_dim, spec.out_dim))
-            t[f"{p}.b"] = np.zeros(spec.out_dim)
-        elif spec.kind == "gat":
-            dh = spec.out_dim // spec.heads
-            t[f"{p}.W"] = _glorot(rng, spec.in_dim, dh,
-                                  (spec.heads, spec.in_dim, dh))
-            t[f"{p}.a_src"] = _glorot(rng, 2 * dh, 1, (spec.heads, dh))
-            t[f"{p}.a_dst"] = _glorot(rng, 2 * dh, 1, (spec.heads, dh))
-            t[f"{p}.b"] = np.zeros(spec.out_dim)
-        elif spec.kind == "gin":
-            t[f"{p}.eps"] = np.zeros(())
-            t[f"{p}.W1"] = _glorot(rng, spec.in_dim, spec.out_dim,
-                                   (spec.in_dim, spec.out_dim))
-            t[f"{p}.b1"] = np.zeros(spec.out_dim)
-            t[f"{p}.W2"] = _glorot(rng, spec.out_dim, spec.out_dim,
-                                   (spec.out_dim, spec.out_dim))
-            t[f"{p}.b2"] = np.zeros(spec.out_dim)
+        for name, init in _LAYER_TENSORS[spec.kind].items():
+            t[f"L{i}.{name}"] = init(rng, spec)
     trunk_in = config.trunk_in_dim(feature_dim)
     t["mlp1.W"] = _glorot(rng, trunk_in, config.hidden, (trunk_in, config.hidden))
     t["mlp1.b"] = np.zeros(config.hidden)
@@ -332,13 +350,15 @@ def gin_backward(dY, cache, gt: GraphTensors):
     return dH, {"eps": deps, "W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
 
 
-def linear_forward(H, W, b, activation="none"):
+def linear_forward(H, gt: GraphTensors, W, b, activation="none"):
+    """Nodewise H' = act(H @ W + b); ``gt`` is unused, as for every kind the
+    stack passes it."""
     P = H @ W + b
     Y = _act(P, activation)
     return Y, {"H": H, "P": P, "Y": Y, "W": W, "act": activation}
 
 
-def linear_backward(dY, cache):
+def linear_backward(dY, cache, gt: GraphTensors):
     dP = _act_back(dY, cache["P"], cache["Y"], cache["act"])
     return dP @ cache["W"].T, {"W": cache["H"].T @ dP, "b": dP.sum(axis=0)}
 
@@ -375,28 +395,27 @@ class ModelOutput(NamedTuple):
         return self.t_raw * self.t_dir
 
 
+def _run_layers(gt: GraphTensors, params: ModelParams, config: ModelConfig,
+                stop: int):
+    """Graph layers 0..stop-1 on the input features; returns the node
+    embeddings and each layer's cache."""
+    H = gt.x
+    T = params.tensors
+    caches = []
+    for i, spec in enumerate(config.layers[:stop]):
+        _check_shape(H, spec)
+        forward = globals()[f"{spec.kind}_forward"]
+        H, c = forward(H, gt, *[T[f"L{i}.{name}"] for name in _LAYER_TENSORS[spec.kind]],
+                       spec.activation)
+        caches.append(c)
+    return H, caches
+
+
 def model_forward(gt: GraphTensors, params: ModelParams, config: ModelConfig):
     """Run the stack; returns (ModelOutput, cache) for a later backward."""
     if gt.n == 0:
         raise EmptyGraphError("empty graph")
-    H = gt.x
-    layer_caches = []
-    for i, spec in enumerate(config.layers):
-        _check_shape(H, spec)
-        p = f"L{i}"
-        T = params.tensors
-        if spec.kind == "gcn":
-            H, c = gcn_forward(H, gt, T[f"{p}.W"], T[f"{p}.b"], spec.activation)
-        elif spec.kind == "gat":
-            H, c = gat_forward(H, gt, T[f"{p}.W"], T[f"{p}.a_src"],
-                               T[f"{p}.a_dst"], T[f"{p}.b"], spec.activation)
-        elif spec.kind == "gin":
-            H, c = gin_forward(H, gt, T[f"{p}.eps"], T[f"{p}.W1"], T[f"{p}.b1"],
-                               T[f"{p}.W2"], T[f"{p}.b2"], spec.activation)
-        else:
-            H, c = linear_forward(H, T[f"{p}.W"], T[f"{p}.b"], spec.activation)
-        layer_caches.append(c)
-
+    H, layer_caches = _run_layers(gt, params, config, len(config.layers))
     z = pool(H, config.pooling)
     T = params.tensors
     m_pre = z @ T["mlp1.W"] + T["mlp1.b"]
@@ -460,19 +479,10 @@ def model_backward(cache, dq, dt_dir, dt_raw, params: ModelParams) -> dict[str, 
 
     dH = _pool_backward(dz, cache["n"], config.pooling)
     for i in reversed(range(len(config.layers))):
-        spec = config.layers[i]
-        c = cache["layers"][i]
-        p = f"L{i}"
-        if spec.kind == "gcn":
-            dH, g = gcn_backward(dH, c, gt)
-        elif spec.kind == "gat":
-            dH, g = gat_backward(dH, c, gt)
-        elif spec.kind == "gin":
-            dH, g = gin_backward(dH, c, gt)
-        else:
-            dH, g = linear_backward(dH, c)
-        for name, val in g.items():
-            grads[f"{p}.{name}"] = val
+        kind = config.layers[i].kind
+        dH, g = globals()[f"{kind}_backward"](dH, cache["layers"][i], gt)
+        for name in _LAYER_TENSORS[kind]:
+            grads[f"L{i}.{name}"] = g[name]
     return grads
 
 
@@ -485,46 +495,8 @@ def forward_embeddings(gt: GraphTensors, params: ModelParams, config: ModelConfi
     if not (0 <= layer <= len(config.layers)):
         raise InvalidInputError(
             f"layer {layer} out of range 0..{len(config.layers)}")
-    H = gt.x
-    for i, spec in enumerate(config.layers[:layer]):
-        _check_shape(H, spec)
-        p = f"L{i}"
-        T = params.tensors
-        if spec.kind == "gcn":
-            H, _ = gcn_forward(H, gt, T[f"{p}.W"], T[f"{p}.b"], spec.activation)
-        elif spec.kind == "gat":
-            H, _ = gat_forward(H, gt, T[f"{p}.W"], T[f"{p}.a_src"],
-                               T[f"{p}.a_dst"], T[f"{p}.b"], spec.activation)
-        elif spec.kind == "gin":
-            H, _ = gin_forward(H, gt, T[f"{p}.eps"], T[f"{p}.W1"], T[f"{p}.b1"],
-                               T[f"{p}.W2"], T[f"{p}.b2"], spec.activation)
-        else:
-            H, _ = linear_forward(H, T[f"{p}.W"], T[f"{p}.b"], spec.activation)
+    H, _ = _run_layers(gt, params, config, layer)
     return H, pool(H, config.pooling)
-
-
-class Model:
-    """Stateful wrapper pairing a config with parameters; single-writer."""
-
-    def __init__(self, config: ModelConfig, params: ModelParams):
-        self.config = config
-        self.params = params
-        self._cache = None
-
-    @classmethod
-    def init(cls, config: ModelConfig, seed=0) -> "Model":
-        return cls(config, init_params(config, seed))
-
-    def forward(self, gtensors: GraphTensors) -> ModelOutput:
-        out, self._cache = model_forward(gtensors, self.params, self.config)
-        return out
-
-    def backward(self, dq, dt_dir, dt_raw) -> dict[str, np.ndarray]:
-        if self._cache is None:
-            raise StateError("backward called before forward")
-        grads = model_backward(self._cache, dq, dt_dir, dt_raw, self.params)
-        self._cache = None
-        return grads
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +524,6 @@ def adam_step(params: ModelParams, lr: float = 1e-4, beta1: float = 0.9,
 # ---------------------------------------------------------------------------
 
 CKPT_HEADER = "# epigraph-ckpt v1"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _spec_str(spec: LayerSpec) -> str:

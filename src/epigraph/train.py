@@ -3,13 +3,14 @@
 Graphs are built per sample inside the loop (cached by pair id and graph
 parameters); batch gradients are the arithmetic mean over the graphs that
 built successfully; one Adam step per batch.  Fixed seed implies
-bit-identical parameters after every epoch in single-threaded mode.
+bit-identical parameters after every epoch.  ``load_model`` and
+``predict`` are the forward-only path that eval, export and the k-NN
+sweep share.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ class TrainConfig:
     split: float = 0.8
     seed: int = 0
     normalized_e: bool = False
-    prebuild_workers: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.split < 1.0):
@@ -83,39 +83,39 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
     return LossBreakdown(*(float(v) for v in arr.mean(axis=0)))
 
 
-class _GraphCache:
-    """Built graphs keyed by (pair id, content digest, graph params); the
-    params in the key make stale entries impossible when k / tau / variant
-    change, and the digest guards against colliding pair ids."""
+class GraphCache:
+    """Dense tensors of built graphs, keyed by (pair id, content digest,
+    graph params); the params in the key make stale entries impossible when
+    k / tau / variant change, and the digest guards against colliding pair
+    ids.  A pair whose graph failed keeps its error, raised on every get.
+    A cache lives for one command call."""
 
-    def __init__(self, params: GraphParams):
-        self.params = params
+    def __init__(self):
         self.store: dict = {}
 
-    def get(self, corr: CorrespondenceSet):
-        key = (corr.pair_label(), corr.cache_token(), self.params)
+    def build(self, corr: CorrespondenceSet, params: GraphParams):
+        """Build the pair's graph, keep its tensors (or its error) for
+        ``get`` and return the graph."""
+        key = (corr.pair_label(), corr.cache_token(), params)
+        try:
+            g = build_graph(corr, params=params)
+            self.store[key] = nn.graph_tensors(g)
+        except EpigraphError as e:
+            self.store[key] = e
+            raise
+        return g
+
+    def get(self, corr: CorrespondenceSet, params: GraphParams):
+        key = (corr.pair_label(), corr.cache_token(), params)
         if key not in self.store:
             try:
-                g = build_graph(corr, params=self.params)
-                self.store[key] = nn.graph_tensors(g)
-            except EpigraphError as e:
-                self.store[key] = e
+                self.build(corr, params)
+            except EpigraphError:
+                pass
         res = self.store[key]
         if isinstance(res, EpigraphError):
             raise res
         return res
-
-    def prebuild(self, dataset, workers: int):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(self._try_get, c) for c in dataset]
-            for f in futures:
-                f.result()
-
-    def _try_get(self, corr):
-        try:
-            self.get(corr)
-        except EpigraphError:
-            pass
 
 
 def _targets_for(dataset, normalized_e: bool) -> list[PoseTarget]:
@@ -178,19 +178,18 @@ def weights_from_meta(meta: dict) -> LossWeights:
 
 
 def train(cfg: TrainConfig, dataset, checkpoint_path,
-          final_checkpoint_path=None) -> TrainReport:
+          final_checkpoint_path=None, cache: GraphCache | None = None) -> TrainReport:
     """Train on a list of correspondence sets carrying ground truth.
 
     The checkpoint tracks the minimum-validation epoch; pass
     ``final_checkpoint_path`` to also keep the last-epoch state (useful
-    for overfit sanity runs)."""
+    for overfit sanity runs), and ``cache`` to reuse graphs the caller
+    built."""
     train_set, val_set = split_dataset(list(dataset), cfg.split, cfg.seed)
     train_targets = _targets_for(train_set, cfg.normalized_e)
     val_targets = _targets_for(val_set, cfg.normalized_e)
 
-    cache = _GraphCache(cfg.graph)
-    if cfg.prebuild_workers > 0:
-        cache.prebuild(list(dataset), cfg.prebuild_workers)
+    cache = cache or GraphCache()
 
     params = nn.init_params(cfg.model, substream(cfg.seed, "init"))
     stats: list[EpochStats] = []
@@ -206,7 +205,7 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
             n_ok = 0
             for i in batch:
                 try:
-                    gtensors = cache.get(train_set[i])
+                    gtensors = cache.get(train_set[i], cfg.graph)
                 except EpigraphError:
                     skipped += 1
                     continue
@@ -236,7 +235,7 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
         val_skipped = 0
         for corr, target in zip(val_set, val_targets):
             try:
-                gtensors = cache.get(corr)
+                gtensors = cache.get(corr, cfg.graph)
             except EpigraphError:
                 val_skipped += 1
                 continue
@@ -262,39 +261,61 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
     return TrainReport(stats, best_epoch, best, str(checkpoint_path))
 
 
-def evaluate(checkpoint_path, dataset) -> list[tuple[Pose, Pose, LossBreakdown]]:
-    """Forward-only pass of a checkpoint over pairs with ground truth."""
-    params, config, meta = nn.load_checkpoint(checkpoint_path)
+@dataclass(frozen=True)
+class LoadedModel:
+    """A checkpoint's parameters with the settings its meta records."""
+
+    params: nn.ModelParams
+    config: nn.ModelConfig
+    graph: GraphParams
+    weights: LossWeights
+    normalized_e: bool
+
+
+def load_model(path) -> LoadedModel:
+    """Load a checkpoint and parse its graph, loss-weight and normalized_e
+    meta; missing or malformed meta raises SchemaVersionError."""
+    params, config, meta = nn.load_checkpoint(path)
     try:
-        gp = graph_params_from_meta(meta)
-        weights = weights_from_meta(meta)
-        normalized_e = bool(int(meta.get("normalized_e", "0")))
+        return LoadedModel(params, config, graph_params_from_meta(meta),
+                           weights_from_meta(meta),
+                           bool(int(meta.get("normalized_e", "0"))))
     except (KeyError, ValueError) as e:
-        raise SchemaVersionError(f"checkpoint meta lacks required field: {e}")
-    cache = _GraphCache(gp)
-    out = []
+        raise SchemaVersionError(f"checkpoint meta is missing or malformed: {e}") from None
+
+
+def predict(model: LoadedModel, dataset, cache: GraphCache | None = None) -> list:
+    """Forward pass over each pair: its ModelOutput, or the EpigraphError
+    its graph or forward raised, in dataset order.  Which failures to
+    tolerate is the caller's choice.  Graphs come from ``cache``; without
+    one, each pair's graph is dropped after its forward pass."""
+    results = []
     for corr in dataset:
+        try:
+            gtensors = (cache or GraphCache()).get(corr, model.graph)
+            out, _ = nn.model_forward(gtensors, model.params, model.config)
+        except EpigraphError as e:
+            out = e
+        results.append(out)
+    return results
+
+
+def evaluate(checkpoint_path, dataset,
+             cache: GraphCache | None = None) -> list[tuple[Pose, Pose, LossBreakdown]]:
+    """Forward-only pass of a checkpoint over pairs with ground truth; the
+    first pair that fails raises its error."""
+    model = load_model(checkpoint_path)
+    dataset = list(dataset)
+    out = []
+    for corr, pred in zip(dataset, predict(model, dataset, cache)):
         if corr.gt_relative is None:
             raise ValidationError(f"pair {corr.pair_label()} has no ground truth")
-        target = PoseTarget.from_pose(corr.gt_relative, normalized_e)
-        gtensors = cache.get(corr)
-        pred, _ = nn.model_forward(gtensors, params, config)
-        bd = total_loss(pred.q, pred.t, target, weights)
+        target = PoseTarget.from_pose(corr.gt_relative, model.normalized_e)
+        if isinstance(pred, EpigraphError):
+            raise pred
+        bd = total_loss(pred.q, pred.t, target, model.weights)
         out.append((Pose(pred.q, pred.t), corr.gt_relative, bd))
     return out
-
-
-def predict(checkpoint_path, dataset) -> list[Pose]:
-    """Predicted relative poses only; no ground truth required."""
-    params, config, meta = nn.load_checkpoint(checkpoint_path)
-    gp = graph_params_from_meta(meta)
-    cache = _GraphCache(gp)
-    preds = []
-    for corr in dataset:
-        gtensors = cache.get(corr)
-        out, _ = nn.model_forward(gtensors, params, config)
-        preds.append(Pose(out.q, out.t))
-    return preds
 
 
 REPORT_HEADER = "# epigraph-train-report v1"

@@ -200,6 +200,40 @@ class TestExportEmbeddings:
         assert rc == 2
 
 
+class TestCheckpointMeta:
+    """A checkpoint whose graph meta is missing or malformed ends in
+    SchemaVersionError, exit 3, for every command that reads it."""
+
+    def rewrite(self, trained_root, tmp_path, keep_line):
+        lines = open(os.path.join(trained_root, "checkpoint.txt")).read().splitlines()
+        path = tmp_path / "bad.ckpt"
+        path.write_text("\n".join(keep_line(ln) for ln in lines if keep_line(ln)) + "\n")
+        return str(path)
+
+    def run_with(self, command, trained_root, ckpt, tmp_path):
+        manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
+        extra = {"eval": ["--set", "eval.out_dir=out_bad_meta"],
+                 "export-embeddings": ["--out", str(tmp_path / "emb.csv")]}[command]
+        return run([command] + base_args(trained_root,
+                   ["--set", "dataset.kind=files", "--set", f"dataset.manifest={manifest}",
+                    "--checkpoint", ckpt, *extra]))
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_stripped_graph_meta(self, trained_root, tmp_path, capsys, command):
+        ckpt = self.rewrite(trained_root, tmp_path,
+                            lambda ln: None if ln.startswith("meta graph.") else ln)
+        assert self.run_with(command, trained_root, ckpt, tmp_path) == 3
+        assert "graph.k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_non_numeric_k(self, trained_root, tmp_path, capsys, command):
+        ckpt = self.rewrite(trained_root, tmp_path,
+                            lambda ln: "meta graph.k six" if ln.startswith("meta graph.k ")
+                            else ln)
+        assert self.run_with(command, trained_root, ckpt, tmp_path) == 3
+        assert "six" in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_single_preset_ok(self, capsys):
         assert run(["gradcheck", "--presets", "GIN_SumPool"]) == 0
@@ -228,6 +262,23 @@ class TestBenchKnn:
         soft = lines[2].split(",")
         wmin, wmax = float(soft[-2]), float(soft[-1])
         assert 0.0 < wmin <= wmax <= 1.0
+
+    def test_each_graph_built_once_per_variant(self, tmp_path, monkeypatch):
+        # stats, training and evaluation share one build per pair and variant
+        from epigraph import train as train_mod
+
+        calls = []
+        real = train_mod.build_graph
+
+        def counted(corr, **kwargs):
+            calls.append(kwargs["params"].variant)
+            return real(corr, **kwargs)
+
+        monkeypatch.setattr(train_mod, "build_graph", counted)
+        assert run(["bench-knn"] + base_args(tmp_path, ["--epochs", "1"])) == 0
+        pairs = 12 - 1
+        assert calls == [v for v in ("hard", "soft", "radius", "mutual")
+                         for _ in range(pairs)]
 
 
 def test_usage_error_exits_two():

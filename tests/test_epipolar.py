@@ -74,6 +74,18 @@ class TestConstraintMatrix:
         with pytest.raises(InsufficientCorrespondencesError):
             build_constraint_matrix((X, X))
 
+    def test_stack_matches_per_set_matrices(self):
+        rng = np.random.default_rng(12)
+        S1 = np.concatenate([rng.normal(size=(5, 9, 2)), np.ones((5, 9, 1))], axis=2)
+        S2 = np.concatenate([rng.normal(size=(5, 9, 2)), np.ones((5, 9, 1))], axis=2)
+        A = build_constraint_matrix((S1, S2))
+        assert A.shape == (5, 9, 9)
+        assert np.array_equal(A, np.einsum("sni,snj->snij", S2, S1).reshape(5, 9, 9))
+        for s in range(5):
+            assert np.array_equal(A[s], build_constraint_matrix((S1[s], S2[s])))
+        with pytest.raises(InsufficientCorrespondencesError):
+            build_constraint_matrix((S1[:, :7], S2[:, :7]))
+
     def test_nullspace_fidelity_noiseless(self):
         pose = small_pose(5)
         X1, X2 = scene_points(pose, seed=6, n=40)

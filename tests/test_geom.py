@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from epigraph import geom
-from epigraph.errors import DegenerateGeometryError, InvalidInputError, InvalidRotationError
+from epigraph.errors import InvalidInputError, InvalidRotationError
 from epigraph.geom import (
     Intrinsics,
     Pose,
     canonical_quat,
     epipolar_residual,
     essential_from_pose,
-    normalize_pixel,
+    normalize_pixels,
     quat_from_axis_angle,
     quat_to_rot,
     relative_pose,
     rot_to_quat,
-    sampson_distance,
+    sampson_distances,
     skew,
     wrap_angle,
     yaw_of,
@@ -103,19 +103,19 @@ class TestNormalizePixel:
     K = Intrinsics(100, 100, 320, 240)
 
     def test_principal_point(self):
-        assert np.allclose(normalize_pixel([320, 240], self.K), [0, 0, 1])
+        assert np.allclose(normalize_pixels([[320, 240]], self.K), [[0, 0, 1]])
 
     def test_one_focal_length_right(self):
-        assert np.allclose(normalize_pixel([420, 240], self.K), [1, 0, 1])
+        assert np.allclose(normalize_pixels([[420, 240]], self.K), [[1, 0, 1]])
 
     def test_unit_intrinsics_identity(self):
         K = Intrinsics(1, 1, 0, 0)
         for p in ([3.5, -2.0], [0, 0], [123.4, 567.8]):
-            assert np.allclose(normalize_pixel(p, K), [p[0], p[1], 1])
+            assert np.allclose(normalize_pixels([p], K), [[p[0], p[1], 1]])
 
     def test_third_component_exactly_one(self):
-        x = normalize_pixel([17.3, 412.9], self.K)
-        assert x[2] == 1.0
+        X = normalize_pixels([[17.3, 412.9]], self.K)
+        assert X.shape == (1, 3) and X[0, 2] == 1.0
 
     def test_invalid_intrinsics(self):
         with pytest.raises(InvalidInputError):
@@ -205,11 +205,11 @@ class TestSampsonDistance:
         corr = make_scene(13, pose)
         X1, X2 = corr.normalized_points()
         for x1, x2 in zip(X1, X2):
-            assert sampson_distance(x1, x2, E) < 1e-18
+            assert sampson_distances([x1], [x2], E)[0] < 1e-18
 
     def test_zero_numerator_direct(self):
         # x2^T E x1 = 0 here even though the points differ
-        assert sampson_distance([0, 0, 1], [0, 0.1, 1], self.E_fwd) == 0.0
+        assert sampson_distances([[0, 0, 1]], [[0, 0.1, 1]], self.E_fwd)[0] == 0.0
 
     def test_randomized_against_direct_formula(self):
         rng = np.random.default_rng(10)
@@ -220,20 +220,25 @@ class TestSampsonDistance:
             Ex1, Etx2 = E @ x1, E.T @ x2
             expect = (x2 @ Ex1) ** 2 / (Ex1[0] ** 2 + Ex1[1] ** 2
                                         + Etx2[0] ** 2 + Etx2[1] ** 2)
-            assert np.isclose(sampson_distance(x1, x2, E), expect, rtol=1e-12)
+            assert np.isclose(sampson_distances([x1], [x2], E)[0], expect, rtol=1e-12)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(11)
         x1 = np.array([0.1, -0.2, 1.0])
         x2 = np.array([0.3, 0.2, 1.0])
         E = rng.normal(size=(3, 3))
-        base = sampson_distance(x1, x2, E)
+        base = sampson_distances([x1], [x2], E)[0]
         for c in (2.0, -3.0, 1e-3, 17.5):
-            assert np.isclose(sampson_distance(x1, x2, c * E), base, rtol=1e-12)
+            assert np.isclose(sampson_distances([x1], [x2], c * E)[0], base, rtol=1e-12)
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateGeometryError):
-            sampson_distance([0.1, 0.2, 1], [0.3, 0.4, 1], np.zeros((3, 3)))
+        # E x1 and E^T x2 have no first two components: the residual is 1
+        E = np.zeros((3, 3))
+        E[2, 2] = 1.0
+        assert sampson_distances([[0.1, 0.2, 1]], [[0.3, 0.4, 1]], E)[0] == np.inf
+        # a zero residual over a vanishing denominator reads 0
+        assert sampson_distances([[0.1, 0.2, 1]], [[0.3, 0.4, 1]],
+                                 np.zeros((3, 3)))[0] == 0.0
 
     def test_full_denominator_variant(self):
         x1 = np.array([0.1, -0.2, 1.0])
@@ -241,7 +246,8 @@ class TestSampsonDistance:
         E = np.arange(9, dtype=float).reshape(3, 3) + 1
         Ex1, Etx2 = E @ x1, E.T @ x2
         expect = (x2 @ Ex1) ** 2 / (Ex1 @ Ex1 + Etx2 @ Etx2)
-        assert np.isclose(sampson_distance(x1, x2, E, full_denominator=True), expect)
+        assert np.isclose(sampson_distances([x1], [x2], E, full_denominator=True)[0],
+                          expect)
 
 
 class TestRelativePose:

@@ -278,7 +278,6 @@ class TestBuildGraph:
         g = build_graph(corr, params=GraphParams(variant="radius"))
         assert g.meta["variant"] == "radius"
         assert g.meta["radius"] is not None and g.meta["radius"] > 0
-        assert g.meta["g1_edges"] > 0
         assert g.meta["e0"].shape == (3, 3)
 
     def test_radius_default_is_median_kth(self):
@@ -310,7 +309,7 @@ class TestGraphIO:
         assert h.edges == g.edges
         assert np.array_equal(h.kept_indices, g.kept_indices)
         for key in ("k", "tau", "variant", "symmetrize", "knn_source",
-                    "k_clamped", "g1_edges"):
+                    "k_clamped"):
             assert h.meta[key] == g.meta[key]
         assert np.array_equal(h.meta["e0"], g.meta["e0"])
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from epigraph import nn
-from epigraph.errors import SchemaVersionError, ValidationError
+from epigraph.errors import (
+    InsufficientCorrespondencesError,
+    SchemaVersionError,
+    ValidationError,
+)
 from epigraph.geom import Pose, quat_from_axis_angle
 from epigraph.graph import GraphParams
 from epigraph.losses import LossWeights
@@ -13,6 +17,8 @@ from epigraph.train import (
     TrainConfig,
     evaluate,
     graph_params_from_meta,
+    load_model,
+    predict,
     split_dataset,
     train,
     weights_from_meta,
@@ -135,13 +141,6 @@ class TestTrainLoop:
         qs = {tuple(p.q) for p, _, _ in res}
         assert len(qs) == len(data)
 
-    def test_prebuild_workers_same_result(self, tmp_path):
-        data = tiny_dataset(6, seed=400)
-        r1 = train(tiny_config(seed=5), data, tmp_path / "g1.txt")
-        r2 = train(tiny_config(seed=5, prebuild_workers=4), data, tmp_path / "g2.txt")
-        assert open(tmp_path / "g1.txt").read() == open(tmp_path / "g2.txt").read()
-        assert r1.best_val_total == r2.best_val_total
-
 
 class TestEvaluate:
     def test_idempotent(self, tmp_path):
@@ -177,6 +176,19 @@ class TestEvaluate:
         (tmp_path / "broken.txt").write_text("\n".join(text) + "\n")
         with pytest.raises(SchemaVersionError):
             evaluate(tmp_path / "broken.txt", data)
+
+    def test_predict_keeps_each_pairs_error(self, tmp_path):
+        data = tiny_dataset(6, seed=1000)
+        train(tiny_config(seed=10), data, tmp_path / "m.txt")
+        model = load_model(tmp_path / "m.txt")
+        bad = generate_scene(1, 7, (3, 10), small_pose(1))  # too few matches for E0
+        res = predict(model, [data[0], bad, data[1]])
+        assert isinstance(res[0], nn.ModelOutput) and isinstance(res[2], nn.ModelOutput)
+        assert isinstance(res[1], InsufficientCorrespondencesError)
+        for out, (pose, _, _) in zip(res[::2], evaluate(tmp_path / "m.txt", data[:2])):
+            assert np.array_equal(Pose(out.q, out.t).q, pose.q)
+        with pytest.raises(InsufficientCorrespondencesError):
+            evaluate(tmp_path / "m.txt", [data[0], bad])
 
 
 def test_write_report_deterministic(tmp_path):
