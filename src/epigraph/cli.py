@@ -42,6 +42,9 @@ from .synth import (
 )
 
 MANIFEST_HEADER = "# epigraph-manifest v1"
+# manifest record -> type of its one value
+_MANIFEST_RECORDS = {"trajectory": str, "fps": float, "spacing": float, "step": int,
+                     "sequence": str}
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +111,12 @@ def load_manifest(path):
             if len(parts) != 5:
                 raise FormatError("pair lines need: pair seq i j path", line=ln)
             corrs.append(load_correspondences(os.path.join(base, parts[4])))
-        elif parts[0] == "trajectory":
-            info["trajectory"] = parts[1]
-        elif parts[0] in ("fps", "spacing"):
-            info[parts[0]] = float(parts[1])
-        elif parts[0] == "step":
-            info["step"] = int(parts[1])
-        elif parts[0] == "sequence":
-            info["sequence"] = parts[1]
+        elif parts[0] in _MANIFEST_RECORDS:
+            try:
+                (value,) = parts[1:]
+                info[parts[0]] = _MANIFEST_RECORDS[parts[0]](value)
+            except ValueError:
+                raise FormatError(f"bad {parts[0]} record {line!r}", line=ln) from None
         else:
             raise FormatError(f"unknown manifest record {parts[0]!r}", line=ln)
     if "trajectory" in info:

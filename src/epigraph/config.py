@@ -11,13 +11,13 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import nn
 from .errors import ConfigError
 from .graph import GraphParams, VARIANTS
 from .losses import LossWeights
-from .synth import Intrinsics
+from .synth import Intrinsics, _fmt
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class ExperimentConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def weights(self) -> LossWeights:
-        return LossWeights(self.loss.lambda_pose, self.loss.lambda_frob,
-                           self.loss.lambda_svd, self.loss.lambda_yaw)
+        return LossWeights(**{name: getattr(self.loss, name)
+                              for name in settings(LossWeights)})
 
     def model_config(self) -> nn.ModelConfig:
         if self.model.layers:
@@ -125,108 +125,86 @@ def _parse_layer(s: str) -> nn.LayerSpec:
         raise ConfigError(f"bad layer spec {s!r}: {e}") from None
 
 
-# section -> key -> (type tag, default-from-dataclass attr)
-_SCHEMA = {
-    "run": {"seed": "int", "out_root": "str"},
-    "dataset": {"kind": "str", "sequence": "str", "n_frames": "int",
-                "fps": "float", "motion": "str", "spacings": "floats",
-                "n_points": "int", "depth_min": "float", "depth_max": "float",
-                "noise_px": "float", "outlier_fraction": "float",
-                "step_m": "float", "width": "int", "height": "int",
-                "fx": "float", "fy": "float", "cx": "float", "cy": "float",
-                "manifest": "str", "check_intrinsics": "bool"},
-    "graph": {"k": "int", "tau": "float", "variant": "str",
-              "symmetrize": "bool", "knn_source": "int", "radius": "optfloat",
-              "e0_seed": "int", "e0_m": "int", "e0_iters": "int",
-              "full_denominator": "bool"},
-    "model": {"preset": "str", "layers": "str", "pooling": "str", "hidden": "int"},
-    "train": {"batch_size": "int", "lr": "float", "epochs": "int",
-              "split": "float"},
-    "loss": {"lambda_pose": "float", "lambda_frob": "float",
-             "lambda_svd": "float", "lambda_yaw": "float",
-             "normalized_e": "bool"},
-    "eval": {"baseline": "str", "out_dir": "str"},
-}
-
+# The settings codec.  A setting's type tag is its dataclass annotation
+# (a string under ``from __future__ import annotations``); one parser and
+# one formatter per tag serve both the INI file and the checkpoint meta.
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _convert(tag: str, raw: str, where: str):
-    raw = raw.strip()
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in _BOOL_TRUE:
+        return True
+    if low in _BOOL_FALSE:
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# type tag -> (parser, formatter)
+_CODECS = {
+    "int": (int, str),
+    "float": (float, _fmt),
+    "str": (str, str),
+    "bool": (_parse_bool, lambda v: "1" if v else "0"),
+    "tuple[float, ...]": (lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+                          lambda v: ",".join(_fmt(x) for x in v)),
+    "float | None": (lambda raw: None if raw in ("", "auto", "none") else float(raw),
+                     lambda v: "none" if v is None else _fmt(v)),
+}
+
+
+def settings(cls) -> dict[str, str]:
+    """Field name -> type tag of a record's plain settings; fields that
+    hold other records are left out."""
+    return {f.name: f.type for f in fields(cls) if f.type in _CODECS}
+
+
+def parse_setting(tag: str, raw: str, where: str):
+    """One setting from its text; a bad value raises ValueError naming
+    ``where``."""
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "optfloat":
-            return None if raw in ("", "auto", "none") else float(raw)
-        if tag == "bool":
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        return raw
+        return _CODECS[tag][0](raw.strip())
     except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+        raise ValueError(f"{where}: {e}") from None
 
 
-def _to_string(tag: str, value) -> str:
-    if tag == "optfloat":
-        return "auto" if value is None else repr(float(value))
-    if tag == "bool":
-        return "true" if value else "false"
-    if tag == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if tag == "float":
-        return repr(float(value))
-    return str(value)
+def format_setting(tag: str, value) -> str:
+    return _CODECS[tag][1](value)
+
+
+def encode(record, prefix: str = "") -> dict[str, str]:
+    """``prefix + name`` -> text of each of a record's settings."""
+    return {prefix + name: format_setting(tag, getattr(record, name))
+            for name, tag in settings(type(record)).items()}
+
+
+def decode(cls, text: dict, prefix: str = ""):
+    """The ``cls`` record that ``encode`` wrote into ``text``; a missing
+    key raises KeyError and a bad value ValueError."""
+    return cls(**{name: parse_setting(tag, text[prefix + name], prefix + name)
+                  for name, tag in settings(cls).items()})
 
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _section_values(cfg: ExperimentConfig):
-    return {
-        "run": {"seed": cfg.seed, "out_root": cfg.out_root},
-        "dataset": {k: getattr(cfg.dataset, k) for k in _SCHEMA["dataset"]},
-        "graph": {k: getattr(cfg.graph, k) for k in _SCHEMA["graph"]},
-        "model": {k: getattr(cfg.model, k) for k in _SCHEMA["model"]},
-        "train": {k: getattr(cfg.train, k) for k in _SCHEMA["train"]},
-        "loss": {k: getattr(cfg.loss, k) for k in _SCHEMA["loss"]},
-        "eval": {k: getattr(cfg.eval, k) for k in _SCHEMA["eval"]},
-    }
+def _records(cfg: ExperimentConfig) -> dict:
+    """INI section -> the record whose settings it holds: [run] is the
+    config's own plain fields (seed, out_root), then one section per
+    record field."""
+    return {"run": cfg, **{f.name: getattr(cfg, f.name) for f in fields(cfg)
+                           if f.type not in _CODECS}}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     cp = configparser.ConfigParser()
-    for section, keys in _SCHEMA.items():
-        cp[section] = {k: _to_string(tag, _section_values(cfg)[section][k])
-                       for k, tag in keys.items()}
+    for section, record in _records(cfg).items():
+        cp[section] = encode(record)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
-
-
-def _build(values: dict) -> ExperimentConfig:
-    ds = DatasetSection(**values["dataset"])
-    cfg = ExperimentConfig(
-        seed=values["run"]["seed"],
-        out_root=values["run"]["out_root"],
-        dataset=ds,
-        graph=GraphParams(**values["graph"]),
-        model=ModelSection(**values["model"]),
-        train=TrainSection(**values["train"]),
-        loss=LossSection(**values["loss"]),
-        eval=EvalSection(**values["eval"]),
-    )
-    _validate(cfg)
-    return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -255,13 +233,15 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def parse_config(path=None, overrides=(), check_files: bool = True) -> ExperimentConfig:
     """Load a config file (or pure defaults) and apply dotted overrides."""
-    values = {s: {k: getattr(default_section, k) for k in keys}
-              for (s, keys), default_section in zip(
-                  _SCHEMA.items(),
-                  (None, DatasetSection(), GraphParams(), ModelSection(),
-                   TrainSection(), LossSection(), EvalSection()))
-              if s != "run"}
-    values["run"] = {"seed": 0, "out_root": "."}
+    schema = {section: settings(type(record))
+              for section, record in _records(default_config()).items()}
+    changes = {section: {} for section in schema}
+
+    def convert(section, key, raw, where):
+        try:
+            changes[section][key] = parse_setting(schema[section][key], raw, where)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
     if path is not None:
         cp = configparser.ConfigParser()
@@ -269,13 +249,12 @@ def parse_config(path=None, overrides=(), check_files: bool = True) -> Experimen
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in cp.sections():
-            if section not in _SCHEMA:
+            if section not in schema:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in cp[section].items():
-                if key not in _SCHEMA[section]:
+                if key not in schema[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
-                values[section][key] = _convert(_SCHEMA[section][key], raw,
-                                                f"{section}.{key}")
+                convert(section, key, raw, f"{section}.{key}")
 
     for ov in overrides:
         if "=" not in ov:
@@ -284,11 +263,14 @@ def parse_config(path=None, overrides=(), check_files: bool = True) -> Experimen
         if "." not in dotted:
             raise ConfigError(f"override {ov!r} needs a dotted path like train.lr")
         section, key = dotted.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if section not in schema or key not in schema[section]:
             raise ConfigError(f"unknown config field {dotted!r}")
-        values[section][key] = _convert(_SCHEMA[section][key], raw, dotted)
+        convert(section, key, raw, dotted)
 
-    cfg = _build(values)
+    cfg = default_config()
+    cfg = replace(cfg, **changes.pop("run"), **{
+        section: replace(getattr(cfg, section), **kv) for section, kv in changes.items()})
+    _validate(cfg)
     if check_files and cfg.dataset.kind == "files":
         if not cfg.dataset.manifest:
             raise ConfigError("dataset.kind=files requires dataset.manifest")

@@ -169,15 +169,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
-    @classmethod
-    def from_rt(cls, R, t) -> "Pose":
-        return cls(rot_to_quat(R), t)
-
-    @classmethod
-    def from_matrix(cls, T) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return cls(rot_to_quat(T[:3, :3]), T[:3, 3])
-
     def rotation(self) -> np.ndarray:
         return quat_to_rot(self.q)
 

@@ -118,13 +118,6 @@ class ModelParams:
         for k in self.tensors:
             self.grads[k][...] = grads[k]
 
-    def copy(self) -> "ModelParams":
-        out = ModelParams({k: v.copy() for k, v in self.tensors.items()})
-        out.m = {k: v.copy() for k, v in self.m.items()}
-        out.v = {k: v.copy() for k, v in self.v.items()}
-        out.step = self.step
-        return out
-
 
 def _glorot(rng, fan_in, fan_out, shape):
     a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -535,6 +528,14 @@ def _spec_parse(s: str) -> LayerSpec:
     return LayerSpec(kind, int(i), int(o), int(h), act)
 
 
+# config record -> parser of its value
+_CONFIG_RECORDS = {
+    "layers": lambda s: () if s == "none" else tuple(_spec_parse(x) for x in s.split(",")),
+    "pooling": str,
+    "hidden": int,
+}
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     meta: dict | None = None) -> None:
     lines = [CKPT_HEADER]
@@ -569,27 +570,36 @@ def load_checkpoint(path):
     cfg = {}
     meta = {}
     while pos < len(raw) and raw[pos].startswith(("config ", "meta ")):
-        tag, key, *rest = raw[pos].split(maxsplit=2)
-        val = rest[0] if rest else ""
-        (cfg if tag == "config" else meta)[key] = val
+        try:
+            tag, key, *rest = raw[pos].split(maxsplit=2)
+            val = rest[0] if rest else ""
+            if tag == "meta":
+                meta[key] = val
+            else:
+                cfg[key] = _CONFIG_RECORDS.get(key, str)(val)
+        except (ValueError, InvalidInputError) as e:
+            raise FormatError(f"bad checkpoint record: {e}", line=pos + 1) from None
         pos += 1
     try:
-        layer_str = cfg["layers"]
-        layers = () if layer_str == "none" else tuple(
-            _spec_parse(s) for s in layer_str.split(","))
-        config = ModelConfig(layers, pooling=cfg["pooling"], hidden=int(cfg["hidden"]))
-    except (KeyError, ValueError) as e:
+        config = ModelConfig(cfg["layers"], pooling=cfg["pooling"], hidden=cfg["hidden"])
+    except (KeyError, InvalidInputError) as e:
         raise FormatError(f"bad checkpoint config: {e}") from None
     if pos >= len(raw) or not raw[pos].startswith("step "):
         raise FormatError("missing step record", line=pos + 1)
-    step = int(raw[pos].split()[1])
+    try:
+        step = int(raw[pos].split()[1])
+    except (IndexError, ValueError):
+        raise FormatError(f"bad step record {raw[pos]!r}", line=pos + 1) from None
     pos += 1
 
     tensors, ms, vs = {}, {}, {}
     while pos < len(raw) and raw[pos].startswith("tensor "):
         parts = raw[pos].split()
-        name, ndim = parts[1], int(parts[2])
-        shape = tuple(int(d) for d in parts[3:3 + ndim])
+        try:
+            name, ndim = parts[1], int(parts[2])
+            shape = tuple(int(d) for d in parts[3:3 + ndim])
+        except (IndexError, ValueError) as e:
+            raise FormatError(f"bad tensor record: {e}", line=pos + 1) from None
         if pos + 3 >= len(raw):
             raise FormatError(f"truncated record for tensor {name}", line=pos + 1)
         pos += 1
@@ -643,9 +653,11 @@ def grad_check(config: ModelConfig, gtensors: GraphTensors, target,
 
     Relative error per (loss term, tensor) is max|analytic - fd| divided
     by max(|analytic|_inf, |fd|_inf, 1e-3); the floor keeps finite-
-    difference noise on zero-gradient tensors from dominating.  The
-    ``corrupt`` hook perturbs one tensor's analytic gradient to verify
-    the detector itself.
+    difference noise on zero-gradient tensors from dominating.  Each
+    probe scores its two forwards with one ``losses.total_loss`` call
+    each and reads every term off the breakdowns.  The ``corrupt`` hook
+    perturbs one tensor's analytic gradient to verify the detector
+    itself.
     """
     from . import losses
 
@@ -678,10 +690,11 @@ def grad_check(config: ModelConfig, gtensors: GraphTensors, target,
             flat[idx] = orig - h
             out_m, _ = model_forward(gtensors, params, config)
             flat[idx] = orig
+            bd_p = losses.total_loss(out_p.q, out_p.t, target)
+            bd_m = losses.total_loss(out_m.q, out_m.t, target)
             for term in terms:
-                fp = losses.TERM_VALUES[term](out_p.q, out_p.t, target)
-                fm = losses.TERM_VALUES[term](out_m.q, out_m.t, target)
-                fd[term][name].reshape(-1)[idx] = (fp - fm) / (2.0 * h)
+                fd[term][name].reshape(-1)[idx] = (
+                    (getattr(bd_p, term) - getattr(bd_m, term)) / (2.0 * h))
 
     report = []
     for term in terms:

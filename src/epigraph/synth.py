@@ -325,18 +325,21 @@ def load_correspondences(path) -> CorrespondenceSet:
             continue
         if line.startswith("#"):
             parts = line.split()
-            if parts[:2] == ["#", "gt_relative"]:
-                if len(parts) != 9:
-                    raise FormatError("gt_relative needs qw qx qy qz tx ty tz", line=ln)
-                vals = [float(v) for v in parts[2:]]
-                gt = Pose(np.array(vals[:4]), np.array(vals[4:]))
-            elif parts[:2] == ["#", "pair_id"]:
-                if len(parts) != 5:
-                    raise FormatError("pair_id needs sequence i j", line=ln)
-                pair_id = (parts[2], int(parts[3]), int(parts[4]))
-            else:
-                raise FormatError(f"unknown trailer {parts[1] if len(parts) > 1 else line!r}",
-                                  line=ln)
+            try:
+                if parts[:2] == ["#", "gt_relative"]:
+                    if len(parts) != 9:
+                        raise FormatError("gt_relative needs qw qx qy qz tx ty tz", line=ln)
+                    vals = [float(v) for v in parts[2:]]
+                    gt = Pose(np.array(vals[:4]), np.array(vals[4:]))
+                elif parts[:2] == ["#", "pair_id"]:
+                    if len(parts) != 5:
+                        raise FormatError("pair_id needs sequence i j", line=ln)
+                    pair_id = (parts[2], int(parts[3]), int(parts[4]))
+                else:
+                    what = parts[1] if len(parts) > 1 else line
+                    raise FormatError(f"unknown trailer {what!r}", line=ln)
+            except ValueError as e:
+                raise FormatError(f"bad {parts[1]} value: {e}", line=ln) from None
             continue
         fields = line.split()
         if len(fields) != 5:

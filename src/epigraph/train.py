@@ -11,11 +11,12 @@ sweep share.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import nn
+from .config import decode, encode, format_setting, parse_setting
 from .errors import EpigraphError, SchemaVersionError, ValidationError
 from .geom import Pose
 from .graph import GraphParams, build_graph
@@ -77,9 +78,8 @@ def split_dataset(items, fraction: float, seed) -> tuple[list, list]:
 
 def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
     if not items:
-        return LossBreakdown(*([float("nan")] * 7))
-    arr = np.array([[b.quat, b.t_dir, b.t_scale, b.frob, b.svd, b.yaw, b.total]
-                    for b in items])
+        return LossBreakdown(*([float("nan")] * len(fields(LossBreakdown))))
+    arr = np.array([astuple(b) for b in items])
     return LossBreakdown(*(float(v) for v in arr.mean(axis=0)))
 
 
@@ -129,52 +129,18 @@ def _targets_for(dataset, normalized_e: bool) -> list[PoseTarget]:
 
 
 def _ckpt_meta(cfg: TrainConfig, epoch: int, val_total: float) -> dict:
-    g, w = cfg.graph, cfg.weights
-    return {
-        "seed": cfg.seed,
-        "epoch": epoch,
-        "val_total": _fmt(val_total),
-        "lambda_pose": _fmt(w.lambda_pose),
-        "lambda_frob": _fmt(w.lambda_frob),
-        "lambda_svd": _fmt(w.lambda_svd),
-        "lambda_yaw": _fmt(w.lambda_yaw),
-        "normalized_e": int(cfg.normalized_e),
-        "graph.k": g.k,
-        "graph.tau": _fmt(g.tau),
-        "graph.variant": g.variant,
-        "graph.symmetrize": int(g.symmetrize),
-        "graph.knn_source": g.knn_source,
-        "graph.radius": "none" if g.radius is None else _fmt(g.radius),
-        "graph.e0_seed": g.e0_seed,
-        "graph.e0_m": g.e0_m,
-        "graph.e0_iters": g.e0_iters,
-        "graph.full_denominator": int(g.full_denominator),
-    }
+    return {"seed": cfg.seed, "epoch": epoch, "val_total": _fmt(val_total),
+            **encode(cfg.weights),
+            "normalized_e": format_setting("bool", cfg.normalized_e),
+            **encode(cfg.graph, "graph.")}
 
 
 def graph_params_from_meta(meta: dict) -> GraphParams:
-    radius = meta.get("graph.radius", "none")
-    return GraphParams(
-        k=int(meta["graph.k"]),
-        tau=float(meta["graph.tau"]),
-        variant=meta["graph.variant"],
-        symmetrize=bool(int(meta["graph.symmetrize"])),
-        knn_source=int(meta["graph.knn_source"]),
-        radius=None if radius == "none" else float(radius),
-        e0_seed=int(meta["graph.e0_seed"]),
-        e0_m=int(meta["graph.e0_m"]),
-        e0_iters=int(meta["graph.e0_iters"]),
-        full_denominator=bool(int(meta["graph.full_denominator"])),
-    )
+    return decode(GraphParams, meta, "graph.")
 
 
 def weights_from_meta(meta: dict) -> LossWeights:
-    return LossWeights(
-        lambda_pose=float(meta["lambda_pose"]),
-        lambda_frob=float(meta["lambda_frob"]),
-        lambda_svd=float(meta["lambda_svd"]),
-        lambda_yaw=float(meta["lambda_yaw"]),
-    )
+    return decode(LossWeights, meta)
 
 
 def train(cfg: TrainConfig, dataset, checkpoint_path,
@@ -279,7 +245,7 @@ def load_model(path) -> LoadedModel:
     try:
         return LoadedModel(params, config, graph_params_from_meta(meta),
                            weights_from_meta(meta),
-                           bool(int(meta.get("normalized_e", "0"))))
+                           parse_setting("bool", meta["normalized_e"], "normalized_e"))
     except (KeyError, ValueError) as e:
         raise SchemaVersionError(f"checkpoint meta is missing or malformed: {e}") from None
 
@@ -324,14 +290,8 @@ REPORT_HEADER = "# epigraph-train-report v1"
 def write_report(report: TrainReport, path) -> None:
     lines = [REPORT_HEADER, f"epochs {len(report.epochs)}"]
     for s in report.epochs:
-        tr = " ".join(_fmt(v) for v in (s.train_mean.quat, s.train_mean.t_dir,
-                                        s.train_mean.t_scale, s.train_mean.frob,
-                                        s.train_mean.svd, s.train_mean.yaw,
-                                        s.train_mean.total))
-        vl = " ".join(_fmt(v) for v in (s.val_mean.quat, s.val_mean.t_dir,
-                                        s.val_mean.t_scale, s.val_mean.frob,
-                                        s.val_mean.svd, s.val_mean.yaw,
-                                        s.val_mean.total))
+        tr = " ".join(_fmt(v) for v in astuple(s.train_mean))
+        vl = " ".join(_fmt(v) for v in astuple(s.val_mean))
         lines.append(f"epoch {s.epoch} train {tr} val {vl} "
                      f"processed {s.processed} skipped {s.skipped} "
                      f"val_processed {s.val_processed} val_skipped {s.val_skipped}")

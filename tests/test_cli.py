@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -232,6 +233,41 @@ class TestCheckpointMeta:
                             else ln)
         assert self.run_with(command, trained_root, ckpt, tmp_path) == 3
         assert "six" in capsys.readouterr().err
+
+
+# (file, first line starting with this prefix, its replacement)
+MALFORMED = {
+    "step": ("checkpoint.txt", "step ", "step one"),
+    "tensor_ndim": ("checkpoint.txt", "tensor ", "tensor L0.W two"),
+    "layer_kind": ("checkpoint.txt", "config layers ", "config layers warp:6:16:1:relu"),
+    "fps_value": ("dataset/manifest_s0p1.txt", "fps ", "fps ten"),
+    "fps_bare": ("dataset/manifest_s0p1.txt", "fps ", "fps"),
+    "pair_id": ("dataset/pairs_s0p1/pair_00000_00001.txt", "# pair_id ",
+                "# pair_id seq zero 1"),
+    "gt_relative": ("dataset/pairs_s0p1/pair_00000_00001.txt", "# gt_relative ",
+                    "# gt_relative 1 0 0 zero 0.1 0 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_is_format_error_with_its_line(trained_root, tmp_path, capsys,
+                                                      case):
+    """A bad value in a checkpoint, manifest or correspondence file exits 3
+    with the offending line number, never a raw traceback."""
+    rel, prefix, replacement = MALFORMED[case]
+    shutil.copytree(os.path.join(trained_root, "dataset"), tmp_path / "dataset")
+    shutil.copy(os.path.join(trained_root, "checkpoint.txt"), tmp_path)
+    lines = (tmp_path / rel).read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[ln] = replacement
+    (tmp_path / rel).write_text("\n".join(lines) + "\n")
+    manifest = str(tmp_path / "dataset" / "manifest_s0p1.txt")
+    rc = run(["eval"] + base_args(tmp_path, [
+        "--set", "dataset.kind=files", "--set", f"dataset.manifest={manifest}",
+        "--checkpoint", str(tmp_path / "checkpoint.txt")]))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"line {ln + 1}:" in err
 
 
 class TestGradcheckCommand:

@@ -1,6 +1,9 @@
+import configparser
+import dataclasses
+
 import pytest
 
-from epigraph.config import default_config, parse_config, serialize_config
+from epigraph.config import ExperimentConfig, default_config, parse_config, serialize_config
 from epigraph.errors import ConfigError
 
 
@@ -26,6 +29,30 @@ def test_round_trip_identity(tmp_path):
     back = parse_config(path)
     assert back == cfg
     assert serialize_config(back) == serialize_config(cfg)
+
+
+def test_serialize_writes_exactly_the_dataclass_fields():
+    cp = configparser.ConfigParser()
+    cp.read_string(serialize_config(default_config()))
+    sections = {"run": ["seed", "out_root"]}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in sections["run"]:
+            sections[f.name] = [g.name for g in dataclasses.fields(f.default_factory)]
+    assert cp.sections() == list(sections)
+    for section, keys in sections.items():
+        assert list(cp[section]) == keys, section
+
+
+def test_serialize_encoding_and_older_spellings(tmp_path):
+    text = serialize_config(parse_config(None, overrides=["graph.symmetrize=false"]))
+    assert "symmetrize = 0" in text and "radius = none" in text
+    assert "check_intrinsics = 0" in text
+    path = tmp_path / "old.ini"
+    path.write_text("[graph]\nsymmetrize = true\nradius = auto\n"
+                    "[loss]\nnormalized_e = yes\n")
+    cfg = parse_config(path)
+    assert cfg.graph.symmetrize is True and cfg.graph.radius is None
+    assert cfg.loss.normalized_e is True
 
 
 def test_minimal_file_gets_defaults(tmp_path):

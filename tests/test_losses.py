@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from epigraph.errors import InvalidInputError, ValidationError
 from epigraph.geom import Pose, essential_from_pose, quat_from_axis_angle, yaw_of, wrap_angle
 from epigraph.losses import (
+    TERM_GRADS,
+    TERM_VALUES,
     LossBreakdown,
     LossWeights,
     PoseTarget,
@@ -228,6 +232,12 @@ class TestTotalLoss:
         for bumped in (LossWeights(2, 1, 1, 1), LossWeights(1, 2, 1, 1),
                        LossWeights(1, 1, 2, 1), LossWeights(1, 1, 1, 2)):
             assert total_loss(q, t, target, bumped).total >= base - 1e-15
+
+    def test_term_tables_follow_breakdown_fields(self):
+        names = [f.name for f in dataclasses.fields(LossBreakdown)]
+        assert names[-1] == "total"
+        assert list(TERM_VALUES) == names[:-1]
+        assert list(TERM_GRADS) == names
 
     def test_nonnegative_terms(self):
         rng = np.random.default_rng(20)

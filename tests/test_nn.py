@@ -385,6 +385,21 @@ class TestGradCheck:
         bad = [e for e in report if e.tensor == "mlp1.b"]
         assert bad and any(not e.ok for e in bad)
 
+    def test_one_loss_evaluation_per_probe_forward(self, monkeypatch):
+        from epigraph import losses
+
+        calls = []
+        quat_loss = losses.quat_loss
+        monkeypatch.setattr(losses, "quat_loss",
+                            lambda *a, **kw: calls.append(1) or quat_loss(*a, **kw))
+        cfg = nn.ModelConfig((nn.LayerSpec("gcn", 6, 2),), hidden=2)
+        params = nn.init_params(cfg, seed=5)
+        probes = sum(t.size for t in params.tensors.values())
+        report = nn.grad_check(cfg, random_graph(26, n=5), random_target(4),
+                               params=params)
+        assert len(report) == len(losses.TERM_GRADS) * len(params.tensors)
+        assert len(calls) == 2 * probes
+
     def test_empty_params_empty_report(self):
         gt = random_graph(24, n=5)
         cfg = nn.preset_config("3GCN+GAT")

@@ -158,15 +158,26 @@ class TestEvaluate:
         assert evaluate(tmp_path / "i.txt", []) == []
 
     def test_meta_round_trip_helpers(self, tmp_path):
-        gp = GraphParams(k=4, tau=2e-4, variant="soft", symmetrize=False,
-                         radius=0.25, e0_seed=9)
+        default = GraphParams()
         weights = LossWeights(0.5, 1.5, 2.0, 0.0)
-        cfg = tiny_config(graph=gp, weights=weights)
         data = tiny_dataset(6, seed=700)
-        train(cfg, data, tmp_path / "j.txt")
-        _, _, meta = nn.load_checkpoint(tmp_path / "j.txt")
-        assert graph_params_from_meta(meta) == gp
-        assert weights_from_meta(meta) == weights
+        for radius in (None, 0.25):
+            gp = GraphParams(k=4, tau=2e-4, variant="soft", symmetrize=False,
+                             knn_source=2, radius=radius, e0_seed=9, e0_m=12,
+                             e0_iters=20, full_denominator=True)
+            assert all(getattr(gp, f.name) != getattr(default, f.name)
+                       for f in dataclasses.fields(gp) if f.name != "radius")
+            path = tmp_path / f"j_{radius}.txt"
+            train(tiny_config(graph=gp, weights=weights, normalized_e=True), data, path)
+            _, _, meta = nn.load_checkpoint(path)
+            assert graph_params_from_meta(meta) == gp
+            assert weights_from_meta(meta) == weights
+            assert list(meta) == (["seed", "epoch", "val_total",
+                                   *(f.name for f in dataclasses.fields(weights)),
+                                   "normalized_e"]
+                                  + [f"graph.{f.name}" for f in dataclasses.fields(gp)])
+            model = load_model(path)
+            assert (model.graph, model.weights, model.normalized_e) == (gp, weights, True)
 
     def test_schema_error_on_stripped_meta(self, tmp_path):
         data = tiny_dataset(6, seed=800)
