@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epipolar import estimate_E0
-from .errors import (
-    EmptyGraphError,
-    FormatError,
-    InvalidInputError,
-    SchemaVersionError,
-    ValidationError,
-)
+from .errors import EmptyGraphError, InvalidInputError
 from .geom import sampson_distances
-from .synth import _fmt
 
 VARIANTS = ("hard", "soft", "radius", "mutual")
 
@@ -227,100 +220,3 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
         "e0": E0,
     }
     return EpipolarGraph(features, edges, np.asarray(kept, dtype=int), meta)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-GRAPH_HEADER = "# epigraph-graph v1"
-_META_ORDER = ("k", "tau", "variant", "symmetrize", "knn_source", "radius",
-               "k_clamped", "e0")
-
-
-def export_graph(g: EpipolarGraph, path) -> None:
-    lines = [GRAPH_HEADER]
-    for key in _META_ORDER:
-        val = g.meta.get(key)
-        if val is None:
-            lines.append(f"meta {key} none")
-        elif key == "e0":
-            lines.append("meta e0 " + " ".join(_fmt(v) for v in np.ravel(val)))
-        elif isinstance(val, bool):
-            lines.append(f"meta {key} {int(val)}")
-        elif isinstance(val, float):
-            lines.append(f"meta {key} {_fmt(val)}")
-        else:
-            lines.append(f"meta {key} {val}")
-    lines.append(f"nodes {g.n_nodes}")
-    for row in g.node_features:
-        lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("kept " + " ".join(str(int(v)) for v in g.kept_indices))
-    lines.append(f"edges {len(g.edges)}")
-    for s, d, w in g.edges:
-        lines.append(f"{int(s)} {int(d)} {_fmt(w)}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def import_graph(path) -> EpipolarGraph:
-    with open(path) as f:
-        raw = [ln.rstrip("\n") for ln in f]
-    if not raw or raw[0] != GRAPH_HEADER:
-        raise SchemaVersionError("missing or unsupported graph header", line=1)
-    meta = {}
-    pos = 1
-    while pos < len(raw) and raw[pos].startswith("meta "):
-        _, key, *vals = raw[pos].split()
-        if vals == ["none"]:
-            meta[key] = None
-        elif key == "e0":
-            meta[key] = np.array([float(v) for v in vals]).reshape(3, 3)
-        elif key in ("symmetrize", "k_clamped"):
-            meta[key] = bool(int(vals[0]))
-        elif key in ("k", "knn_source"):
-            meta[key] = int(vals[0])
-        elif key in ("tau", "radius"):
-            meta[key] = float(vals[0])
-        else:
-            meta[key] = vals[0]
-        pos += 1
-
-    def expect(prefix):
-        nonlocal pos
-        if pos >= len(raw) or not raw[pos].startswith(prefix):
-            raise FormatError(f"expected {prefix!r} block", line=pos + 1)
-        line = raw[pos]
-        pos += 1
-        return line
-
-    n = int(expect("nodes").split()[1])
-    feats = np.zeros((n, 6))
-    for i in range(n):
-        if pos >= len(raw):
-            raise FormatError("file ends inside the node block", line=pos + 1)
-        vals = raw[pos].split()
-        if len(vals) != 6:
-            raise FormatError("node rows need 6 values", line=pos + 1)
-        feats[i] = [float(v) for v in vals]
-        pos += 1
-    kept_line = expect("kept").split()[1:]
-    kept = np.array([int(v) for v in kept_line], dtype=int)
-    if len(kept) != n:
-        raise ValidationError("kept-index count does not match node count")
-    m = int(expect("edges").split()[1])
-    edges = []
-    for _ in range(m):
-        if pos >= len(raw) or len(raw[pos].split()) != 3:
-            raise FormatError("file ends inside the edge block", line=pos + 1)
-        s, d, w = raw[pos].split()
-        s, d, w = int(s), int(d), float(w)
-        if not (0 <= s < n and 0 <= d < n):
-            raise ValidationError(f"edge ({s}, {d}) out of range for {n} nodes")
-        if s == d:
-            raise ValidationError("self-loop in stored edge list")
-        if not w > 0:
-            raise ValidationError("edge weights must be positive")
-        edges.append((s, d, w))
-        pos += 1
-    return EpipolarGraph(feats, edges, kept, meta)

@@ -1,9 +1,10 @@
-"""Dense-tensor message-passing stack with analytic gradients.
+"""Message-passing stack with analytic gradients.
 
 GCN, GAT, GIN and nodewise linear layers, global pooling, a shared MLP
 trunk with separate translation/quaternion heads, a bias-corrected Adam
 optimizer, plain-text checkpoints, and a finite-difference gradient
-checker.
+checker.  GCN and GIN propagate through dense (N, N) operators; GAT
+attends over an edge list with a segment softmax.
 
 Graph structure (adjacency, attention topology, degrees) is constant
 under differentiation; only feature and parameter paths carry gradients.
@@ -14,6 +15,8 @@ externally serialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +78,11 @@ class ModelConfig:
     def trunk_in_dim(self, feature_dim: int = 6) -> int:
         return self.layers[-1].out_dim if self.layers else feature_dim
 
+    @cached_property
+    def layer_plan(self) -> tuple[_LayerPlan, ...]:
+        """Per layer, what the stack needs to call it, built once per config."""
+        return tuple(_LayerPlan.of(i, spec) for i, spec in enumerate(self.layers))
+
 
 def preset_config(name: str, hidden: int = 64, feature_dim: int = 6) -> ModelConfig:
     """Named stacks from the experiment tables; layer order follows the name."""
@@ -118,6 +126,15 @@ class ModelParams:
         for k in self.tensors:
             self.grads[k][...] = grads[k]
 
+    def copy(self) -> ModelParams:
+        """Independent copy of the tensors, Adam moments and step; the
+        copy's gradients are zero."""
+        out = ModelParams({k: v.copy() for k, v in self.tensors.items()})
+        out.m = {k: v.copy() for k, v in self.m.items()}
+        out.v = {k: v.copy() for k, v in self.v.items()}
+        out.step = self.step
+        return out
+
 
 def _glorot(rng, fan_in, fan_out, shape):
     a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -160,6 +177,26 @@ _LAYER_TENSORS = {
 LAYER_KINDS = tuple(_LAYER_TENSORS)
 
 
+class _LayerPlan(NamedTuple):
+    """One layer's dispatch data: its spec, the module-global names of its
+    forward and backward, its tensor names and their ``L{i}.{name}`` keys,
+    and a getter of those tensors in forward order."""
+
+    spec: LayerSpec
+    forward: str
+    backward: str
+    names: tuple[str, ...]
+    keys: tuple[str, ...]
+    tensors: itemgetter
+
+    @classmethod
+    def of(cls, i: int, spec: LayerSpec) -> _LayerPlan:
+        names = tuple(_LAYER_TENSORS[spec.kind])
+        keys = tuple(f"L{i}.{name}" for name in names)
+        return cls(spec, f"{spec.kind}_forward", f"{spec.kind}_backward",
+                   names, keys, itemgetter(*keys))
+
+
 def init_params(config: ModelConfig, seed=0, feature_dim: int = 6) -> ModelParams:
     """Uniform Glorot weights, zero biases, zero GIN epsilon."""
     rng = np.random.default_rng(seed)
@@ -182,8 +219,16 @@ def init_params(config: ModelConfig, seed=0, feature_dim: int = 6) -> ModelParam
 # ---------------------------------------------------------------------------
 
 class GraphTensors:
-    """Dense constants derived from a graph: features, weighted adjacency,
-    GCN-normalized operator, and the GAT attention mask (with self-loops)."""
+    """Constants derived from a graph: features, weighted adjacency, the
+    GCN-normalized operator, and the GAT attention edge list.
+
+    Attention edges are the nonzeros of ``adj`` plus every self-loop, in
+    row-major order: ``rows`` (attending node) is sorted, and
+    ``row_starts[i]`` is the first edge of node i.  ``col_order`` is a
+    stable sort of the edges by ``cols`` (attended node), with
+    ``col_starts`` its segment starts; it is needed because the pattern is
+    not symmetric without symmetrization.  Every node has its self-loop,
+    so no segment is empty."""
 
     def __init__(self, features: np.ndarray, adj: np.ndarray):
         self.x = np.asarray(features, dtype=float)
@@ -193,11 +238,16 @@ class GraphTensors:
         d = a_tilde.sum(axis=1)
         dinv = 1.0 / np.sqrt(d)
         self.a_hat = a_tilde * dinv[:, None] * dinv[None, :]
-        self.mask = (self.adj > 0) | np.eye(self.n, dtype=bool)
+        nodes = np.arange(self.n)
+        self.rows, self.cols = np.nonzero((self.adj > 0) | np.eye(self.n, dtype=bool))
+        self.row_starts = np.searchsorted(self.rows, nodes)
+        self.col_order = np.argsort(self.cols, kind="stable")
+        self.col_starts = np.searchsorted(self.cols[self.col_order], nodes)
 
 
 def graph_tensors(g, symmetrize: bool | None = None) -> GraphTensors:
-    """Build dense operators from an EpipolarGraph."""
+    """Build the dense operators and the attention edge list of an
+    EpipolarGraph."""
     if g.n_nodes == 0:
         raise EmptyGraphError("graph has no nodes")
     if symmetrize is None:
@@ -274,47 +324,57 @@ def gat_forward(H, gt: GraphTensors, W, a_src, a_dst, b, activation="none"):
 
     Per head: logits leaky_relu(a_src . z_i + a_dst . z_j) softmaxed over
     j in N(i) u {i}; heads are concatenated, then bias and activation.
+    Runs on the attention edge list: ``raw`` and ``alpha`` are (heads, E),
+    and per-node sums are segment reductions over the row-sorted edges.
+    Node and edge axes come last (``ZT`` is (heads, dh, n)), so each
+    elementwise pass runs along the long axis.
     """
     heads, _, dh = W.shape
     n = H.shape[0]
-    Z = np.einsum("nf,hfd->hnd", H, W)          # (heads, n, dh)
-    s1 = np.einsum("hnd,hd->hn", Z, a_src)      # attending node
-    s2 = np.einsum("hnd,hd->hn", Z, a_dst)      # attended neighbor
-    raw = s1[:, :, None] + s2[:, None, :]       # (heads, n, n); rows attend cols
+    rows, cols, starts = gt.rows, gt.cols, gt.row_starts
+    ZT = W.transpose(0, 2, 1) @ H.T                       # (heads, dh, n)
+    s1 = (a_src[:, None, :] @ ZT)[:, 0]                   # attending node
+    s2 = (a_dst[:, None, :] @ ZT)[:, 0]                   # attended neighbor
+    raw = s1.take(rows, axis=1) + s2.take(cols, axis=1)   # (heads, E); rows attend cols
     lrel = np.where(raw > 0, raw, _LEAKY_SLOPE * raw)
-    logits = np.where(gt.mask[None, :, :], lrel, -np.inf)
-    mx = logits.max(axis=2, keepdims=True)
-    e = np.exp(logits - mx)
-    alpha = e / e.sum(axis=2, keepdims=True)    # (heads, n, n)
-    out = np.einsum("hij,hjd->hid", alpha, Z)   # (heads, n, dh)
-    P = out.transpose(1, 0, 2).reshape(n, heads * dh) + b
+    mx = np.maximum.reduceat(lrel, starts, axis=1)
+    e = np.exp(lrel - mx.take(rows, axis=1))
+    alpha = e / np.add.reduceat(e, starts, axis=1).take(rows, axis=1)
+    msg = ZT.take(cols, axis=2)                           # (heads, dh, E)
+    msg *= alpha[:, None, :]
+    out = np.add.reduceat(msg, starts, axis=2)            # (heads, dh, n)
+    P = out.transpose(2, 0, 1).reshape(n, heads * dh) + b
     Y = _act(P, activation)
-    return Y, {"H": H, "Z": Z, "raw": raw, "alpha": alpha, "P": P, "Y": Y,
+    return Y, {"H": H, "ZT": ZT, "raw": raw, "alpha": alpha, "P": P, "Y": Y,
                "W": W, "a_src": a_src, "a_dst": a_dst, "act": activation}
 
 
 def gat_backward(dY, cache, gt: GraphTensors):
-    H, Z, raw, alpha = cache["H"], cache["Z"], cache["raw"], cache["alpha"]
+    H, ZT, raw, alpha = cache["H"], cache["ZT"], cache["raw"], cache["alpha"]
     W, a_src, a_dst = cache["W"], cache["a_src"], cache["a_dst"]
-    heads, n, dh = Z.shape
+    heads, dh, n = ZT.shape
+    rows, cols, starts = gt.rows, gt.cols, gt.row_starts
+    by_col, col_starts = gt.col_order, gt.col_starts
     dP = _act_back(dY, cache["P"], cache["Y"], cache["act"])
     db = dP.sum(axis=0)
-    G = dP.reshape(n, heads, dh).transpose(1, 0, 2)      # (heads, n, dh)
+    G = dP.reshape(n, heads, dh).transpose(1, 2, 0)       # (heads, dh, n)
 
-    dalpha = np.einsum("hid,hjd->hij", G, Z)
-    dZ = np.einsum("hij,hid->hjd", alpha, G)             # value path
+    G_rows = G.take(rows, axis=2)                         # (heads, dh, E)
+    dalpha = (G_rows * ZT.take(cols, axis=2)).sum(axis=1)  # (heads, E)
+    G_rows *= alpha[:, None, :]                           # value path, to cols
+    dZT = np.add.reduceat(G_rows.take(by_col, axis=2), col_starts, axis=2)
     # softmax rows: alpha * (dalpha - sum_j alpha dalpha)
-    inner = (alpha * dalpha).sum(axis=2, keepdims=True)
-    dlrel = alpha * (dalpha - inner)
+    inner = np.add.reduceat(alpha * dalpha, starts, axis=1)
+    dlrel = alpha * (dalpha - inner.take(rows, axis=1))
     draw = dlrel * np.where(raw > 0, 1.0, _LEAKY_SLOPE)
-    ds1 = draw.sum(axis=2)                               # (heads, n)
-    ds2 = draw.sum(axis=1)
-    da_src = np.einsum("hn,hnd->hd", ds1, Z)
-    da_dst = np.einsum("hn,hnd->hd", ds2, Z)
-    dZ += ds1[:, :, None] * a_src[:, None, :]
-    dZ += ds2[:, :, None] * a_dst[:, None, :]
-    dW = np.einsum("nf,hnd->hfd", H, dZ)
-    dH = np.einsum("hnd,hfd->nf", dZ, W)
+    ds1 = np.add.reduceat(draw, starts, axis=1)           # (heads, n)
+    ds2 = np.add.reduceat(draw.take(by_col, axis=1), col_starts, axis=1)
+    da_src = (ZT @ ds1[:, :, None])[:, :, 0]
+    da_dst = (ZT @ ds2[:, :, None])[:, :, 0]
+    dZT += a_src[:, :, None] * ds1[:, None, :]
+    dZT += a_dst[:, :, None] * ds2[:, None, :]
+    dW = H.T @ dZT.transpose(0, 2, 1)                     # (heads, f, dh)
+    dH = dZT.reshape(heads * dh, n).T @ W.transpose(0, 2, 1).reshape(heads * dh, -1)
     return dH, {"W": dW, "a_src": da_src, "a_dst": da_dst, "b": db}
 
 
@@ -395,11 +455,9 @@ def _run_layers(gt: GraphTensors, params: ModelParams, config: ModelConfig,
     H = gt.x
     T = params.tensors
     caches = []
-    for i, spec in enumerate(config.layers[:stop]):
-        _check_shape(H, spec)
-        forward = globals()[f"{spec.kind}_forward"]
-        H, c = forward(H, gt, *[T[f"L{i}.{name}"] for name in _LAYER_TENSORS[spec.kind]],
-                       spec.activation)
+    for plan in config.layer_plan[:stop]:
+        _check_shape(H, plan.spec)
+        H, c = globals()[plan.forward](H, gt, *plan.tensors(T), plan.spec.activation)
         caches.append(c)
     return H, caches
 
@@ -446,7 +504,7 @@ def model_backward(cache, dq, dt_dir, dt_raw, params: ModelParams) -> dict[str, 
     config: ModelConfig = cache["config"]
     gt: GraphTensors = cache["gt"]
     T = params.tensors
-    grads = {k: np.zeros_like(v) for k, v in T.items()}
+    grads = dict.fromkeys(T)    # every entry is set below
 
     dq = np.asarray(dq, dtype=float).reshape(4)
     dt_dir = np.asarray(dt_dir, dtype=float).reshape(3)
@@ -471,11 +529,11 @@ def model_backward(cache, dq, dt_dir, dt_raw, params: ModelParams) -> dict[str, 
     dz = T["mlp1.W"] @ dm_pre
 
     dH = _pool_backward(dz, cache["n"], config.pooling)
-    for i in reversed(range(len(config.layers))):
-        kind = config.layers[i].kind
-        dH, g = globals()[f"{kind}_backward"](dH, cache["layers"][i], gt)
-        for name in _LAYER_TENSORS[kind]:
-            grads[f"L{i}.{name}"] = g[name]
+    for plan, layer_cache in zip(reversed(config.layer_plan),
+                                 reversed(cache["layers"])):
+        dH, g = globals()[plan.backward](dH, layer_cache, gt)
+        for name, key in zip(plan.names, plan.keys):
+            grads[key] = g[name]
     return grads
 
 

@@ -147,7 +147,9 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
           final_checkpoint_path=None, cache: GraphCache | None = None) -> TrainReport:
     """Train on a list of correspondence sets carrying ground truth.
 
-    The checkpoint tracks the minimum-validation epoch; pass
+    The checkpoint holds the minimum-validation epoch.  It is kept in
+    memory and written once, when the epoch loop ends or an error escapes
+    it after a best epoch exists; pass
     ``final_checkpoint_path`` to also keep the last-epoch state (useful
     for overfit sanity runs), and ``cache`` to reuse graphs the caller
     built."""
@@ -160,62 +162,67 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
     params = nn.init_params(cfg.model, substream(cfg.seed, "init"))
     stats: list[EpochStats] = []
     best = None
+    best_state = None   # (params snapshot, meta) of the best epoch so far
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = substream(cfg.seed, "shuffle", epoch).permutation(len(train_set))
-        train_losses: list[LossBreakdown] = []
-        skipped = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            acc = None
-            n_ok = 0
-            for i in batch:
-                try:
-                    gtensors = cache.get(train_set[i], cfg.graph)
-                except EpigraphError:
-                    skipped += 1
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = substream(cfg.seed, "shuffle", epoch).permutation(len(train_set))
+            train_losses: list[LossBreakdown] = []
+            skipped = 0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                acc = None
+                n_ok = 0
+                for i in batch:
+                    try:
+                        gtensors = cache.get(train_set[i], cfg.graph)
+                    except EpigraphError:
+                        skipped += 1
+                        continue
+                    out, fwd_cache = nn.model_forward(gtensors, params, cfg.model)
+                    bd, dq, dt = total_loss_grad(out.q, out.t, train_targets[i],
+                                                 cfg.weights)
+                    grads = nn.model_backward(fwd_cache, dq, out.t_raw * dt,
+                                              float(dt @ out.t_dir), params)
+                    train_losses.append(bd)
+                    n_ok += 1
+                    if acc is None:
+                        acc = grads
+                    else:
+                        for k in acc:
+                            acc[k] += grads[k]
+                if n_ok == 0:
                     continue
-                out, fwd_cache = nn.model_forward(gtensors, params, cfg.model)
-                bd, dq, dt = total_loss_grad(out.q, out.t, train_targets[i],
-                                             cfg.weights)
-                grads = nn.model_backward(fwd_cache, dq, out.t_raw * dt,
-                                          float(dt @ out.t_dir), params)
-                train_losses.append(bd)
-                n_ok += 1
-                if acc is None:
-                    acc = grads
-                else:
-                    for k in acc:
-                        acc[k] += grads[k]
-            if n_ok == 0:
-                continue
-            for k in acc:
-                acc[k] /= n_ok
-            params.set_grads(acc)
-            nn.adam_step(params, lr=cfg.lr)
+                for k in acc:
+                    acc[k] /= n_ok
+                params.set_grads(acc)
+                nn.adam_step(params, lr=cfg.lr)
 
-        if not train_losses:
-            raise ValidationError("every training graph failed to build this epoch")
+            if not train_losses:
+                raise ValidationError("every training graph failed to build this epoch")
 
-        val_losses: list[LossBreakdown] = []
-        val_skipped = 0
-        for corr, target in zip(val_set, val_targets):
-            try:
-                gtensors = cache.get(corr, cfg.graph)
-            except EpigraphError:
-                val_skipped += 1
-                continue
-            out, _ = nn.model_forward(gtensors, params, cfg.model)
-            val_losses.append(total_loss(out.q, out.t, target, cfg.weights))
+            val_losses: list[LossBreakdown] = []
+            val_skipped = 0
+            for corr, target in zip(val_set, val_targets):
+                try:
+                    gtensors = cache.get(corr, cfg.graph)
+                except EpigraphError:
+                    val_skipped += 1
+                    continue
+                out, _ = nn.model_forward(gtensors, params, cfg.model)
+                val_losses.append(total_loss(out.q, out.t, target, cfg.weights))
 
-        val_mean = _mean_breakdown(val_losses)
-        stats.append(EpochStats(epoch, _mean_breakdown(train_losses), val_mean,
-                                len(train_losses), skipped,
-                                len(val_losses), val_skipped))
-        if val_losses and (best is None or val_mean.total < best):
-            best = val_mean.total
-            nn.save_checkpoint(checkpoint_path, params, cfg.model,
-                               _ckpt_meta(cfg, epoch, best))
+            val_mean = _mean_breakdown(val_losses)
+            stats.append(EpochStats(epoch, _mean_breakdown(train_losses), val_mean,
+                                    len(train_losses), skipped,
+                                    len(val_losses), val_skipped))
+            if val_losses and (best is None or val_mean.total < best):
+                best = val_mean.total
+                best_state = (params.copy(), _ckpt_meta(cfg, epoch, best))
+    finally:
+        # one write per run; an error after a best epoch still leaves it on disk
+        if best_state is not None:
+            nn.save_checkpoint(checkpoint_path, best_state[0], cfg.model, best_state[1])
 
     if best is None:
         raise ValidationError("no validation graph ever built; nothing checkpointed")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epigraph.epipolar import canonicalize_essential
-from epigraph.errors import EmptyGraphError, InvalidInputError, SchemaVersionError, ValidationError
+from epigraph.errors import EmptyGraphError, InvalidInputError
 from epigraph.geom import Intrinsics, Pose, essential_from_pose, quat_from_axis_angle
 from epigraph.graph import (
     EpipolarGraph,
@@ -13,8 +13,6 @@ from epigraph.graph import (
     GraphParams,
     build_edges,
     build_graph,
-    export_graph,
-    import_graph,
     median_kth_distance,
     sampson_filter,
 )
@@ -293,62 +291,3 @@ class TestBuildGraph:
         corr = generate_scene(21, 7, (3, 10), small_pose(21))
         with pytest.raises(InsufficientCorrespondencesError):
             build_graph(corr)
-
-
-class TestGraphIO:
-    def make(self, seed=22, variant="soft"):
-        corr = generate_scene(seed, 30, (3, 10), small_pose(seed))
-        return build_graph(corr, params=GraphParams(variant=variant))
-
-    def test_round_trip(self, tmp_path):
-        g = self.make()
-        path = tmp_path / "graph.txt"
-        export_graph(g, path)
-        h = import_graph(path)
-        assert np.array_equal(h.node_features, g.node_features)
-        assert h.edges == g.edges
-        assert np.array_equal(h.kept_indices, g.kept_indices)
-        for key in ("k", "tau", "variant", "symmetrize", "knn_source",
-                    "k_clamped"):
-            assert h.meta[key] == g.meta[key]
-        assert np.array_equal(h.meta["e0"], g.meta["e0"])
-
-    def test_empty_edges_valid(self, tmp_path):
-        g = EpipolarGraph(np.array([[0.1, 0.2, 1, 0.3, 0.4, 1]]), [],
-                          np.array([0]), {"k": 6, "tau": 1e-4, "variant": "hard",
-                                          "symmetrize": True})
-        path = tmp_path / "single.txt"
-        export_graph(g, path)
-        h = import_graph(path)
-        assert h.n_nodes == 1 and h.edges == []
-
-    def test_corrupt_edge_index(self, tmp_path):
-        g = self.make(23)
-        path = tmp_path / "graph.txt"
-        export_graph(g, path)
-        text = path.read_text().splitlines()
-        # bump one edge's dst beyond the node count
-        for i, line in enumerate(text):
-            if line.startswith("edges "):
-                parts = text[i + 1].split()
-                text[i + 1] = f"{parts[0]} {g.n_nodes + 5} {parts[2]}"
-                break
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValidationError):
-            import_graph(path)
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("# epigraph-graph v9\nnodes 0\n")
-        with pytest.raises(SchemaVersionError):
-            import_graph(path)
-
-    def test_truncated_file(self, tmp_path):
-        from epigraph.errors import FormatError
-        g = self.make(24)
-        path = tmp_path / "graph.txt"
-        export_graph(g, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:12]) + "\n")  # ends inside node block
-        with pytest.raises(FormatError):
-            import_graph(path)

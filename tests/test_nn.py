@@ -88,6 +88,52 @@ class TestGCN:
         assert np.allclose(f(2.0 * H1 - 3.0 * H2), 2.0 * f(H1) - 3.0 * f(H2))
 
 
+def attention_mask(gt):
+    """The dense (N, N) attention pattern: adjacency nonzeros plus self-loops."""
+    return (gt.adj > 0) | np.eye(gt.n, dtype=bool)
+
+
+def dense_gat_forward(H, gt, W, a_src, a_dst, b, activation="none"):
+    """The dense (heads, N, N) masked-softmax GAT, kept as an oracle."""
+    heads, _, dh = W.shape
+    n = H.shape[0]
+    Z = np.einsum("nf,hfd->hnd", H, W)
+    s1 = np.einsum("hnd,hd->hn", Z, a_src)
+    s2 = np.einsum("hnd,hd->hn", Z, a_dst)
+    raw = s1[:, :, None] + s2[:, None, :]
+    lrel = np.where(raw > 0, raw, 0.2 * raw)
+    logits = np.where(attention_mask(gt)[None, :, :], lrel, -np.inf)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    alpha = e / e.sum(axis=2, keepdims=True)
+    out = np.einsum("hij,hjd->hid", alpha, Z)
+    P = out.transpose(1, 0, 2).reshape(n, heads * dh) + b
+    Y = nn._act(P, activation)
+    return Y, {"H": H, "Z": Z, "raw": raw, "alpha": alpha, "P": P, "Y": Y,
+               "W": W, "a_src": a_src, "a_dst": a_dst, "act": activation}
+
+
+def dense_gat_backward(dY, cache, gt):
+    H, Z, raw, alpha = cache["H"], cache["Z"], cache["raw"], cache["alpha"]
+    W, a_src, a_dst = cache["W"], cache["a_src"], cache["a_dst"]
+    heads, n, dh = Z.shape
+    dP = nn._act_back(dY, cache["P"], cache["Y"], cache["act"])
+    db = dP.sum(axis=0)
+    G = dP.reshape(n, heads, dh).transpose(1, 0, 2)
+    dalpha = np.einsum("hid,hjd->hij", G, Z)
+    dZ = np.einsum("hij,hid->hjd", alpha, G)
+    inner = (alpha * dalpha).sum(axis=2, keepdims=True)
+    draw = alpha * (dalpha - inner) * np.where(raw > 0, 1.0, 0.2)
+    ds1 = draw.sum(axis=2)
+    ds2 = draw.sum(axis=1)
+    da_src = np.einsum("hn,hnd->hd", ds1, Z)
+    da_dst = np.einsum("hn,hnd->hd", ds2, Z)
+    dZ += ds1[:, :, None] * a_src[:, None, :]
+    dZ += ds2[:, :, None] * a_dst[:, None, :]
+    dW = np.einsum("nf,hnd->hfd", H, dZ)
+    dH = np.einsum("hnd,hfd->nf", dZ, W)
+    return dH, {"W": dW, "a_src": da_src, "a_dst": da_dst, "b": db}
+
+
 class TestGAT:
     def test_self_loop_only_attention_is_one(self):
         gt = nn.GraphTensors(np.array([[0.5, -1.0]]), np.zeros((1, 1)))
@@ -95,19 +141,71 @@ class TestGAT:
         W = rng.normal(size=(2, 2, 2))
         Y, cache = nn.gat_forward(gt.x, gt, W, rng.normal(size=(2, 2)),
                                   rng.normal(size=(2, 2)), np.zeros(4), "none")
-        assert np.allclose(cache["alpha"][:, 0, 0], 1.0)
+        assert cache["alpha"].shape == (2, 1)
+        assert np.allclose(cache["alpha"][:, 0], 1.0)
 
     def test_uniform_logits_give_uniform_attention(self):
         gt = random_graph(6, n=8, feat_dim=3)
         W = np.random.default_rng(7).normal(size=(1, 3, 4))
         zeros = np.zeros((1, 4))
         _, cache = nn.gat_forward(gt.x, gt, W, zeros, zeros, np.zeros(4), "none")
-        alpha = cache["alpha"][0]
-        deg = gt.mask.sum(axis=1)
+        alpha = np.zeros((8, 8))
+        alpha[gt.rows, gt.cols] = cache["alpha"][0]
+        mask = attention_mask(gt)
+        deg = mask.sum(axis=1)
         for i in range(8):
-            nz = alpha[i][gt.mask[i]]
+            nz = alpha[i][mask[i]]
             assert np.allclose(nz, 1.0 / deg[i])
-            assert np.allclose(alpha[i][~gt.mask[i]], 0.0)
+            assert np.allclose(alpha[i][~mask[i]], 0.0)
+
+    def test_edge_list_is_row_major_with_segments(self):
+        gt = random_graph(31, n=9, feat_dim=3)
+        rows, cols = np.nonzero(attention_mask(gt))
+        assert np.array_equal(gt.rows, rows) and np.array_equal(gt.cols, cols)
+        assert np.array_equal(gt.row_starts, np.searchsorted(rows, np.arange(9)))
+        by_col = gt.cols[gt.col_order]
+        assert np.all(np.diff(by_col) >= 0)
+        assert np.array_equal(gt.col_starts, np.searchsorted(by_col, np.arange(9)))
+
+    @pytest.mark.parametrize("case", [
+        dict(n=1, heads=4), dict(n=12, heads=4), dict(n=80, heads=1),
+        dict(n=80, heads=4), dict(n=200, heads=4),
+        dict(n=12, heads=4, weighted=True), dict(n=80, heads=1, weighted=True),
+        dict(n=12, heads=4, symmetrize=False), dict(n=80, heads=4, symmetrize=False),
+        dict(n=12, heads=1, isolated=True), dict(n=80, heads=4, isolated=True,
+                                                 symmetrize=False),
+    ])
+    def test_edge_list_matches_dense_oracle(self, case):
+        n, heads = case["n"], case["heads"]
+        rng = np.random.default_rng(n + 7 * heads)
+        feats = rng.normal(size=(n, 5))
+        edges = [] if n == 1 else [
+            (i, int(j), float(rng.uniform(0.1, 1.0)) if case.get("weighted") else 1.0)
+            for i in range(n)
+            for j in rng.choice([x for x in range(n) if x != i], min(6, n - 1),
+                                replace=False)]
+        if case.get("isolated"):
+            edges = [(s, d, w) for s, d, w in edges if 0 not in (s, d)]
+        g = EpipolarGraph(feats, edges, np.arange(n),
+                          {"symmetrize": case.get("symmetrize", True)})
+        gt = nn.graph_tensors(g)
+        if case.get("symmetrize") is False:
+            assert not np.array_equal(gt.adj, gt.adj.T)
+        dh = 3
+        args = (rng.normal(size=(heads, 5, dh)), rng.normal(size=(heads, dh)),
+                rng.normal(size=(heads, dh)), rng.normal(size=heads * dh), "relu")
+        Y, cache = nn.gat_forward(feats, gt, *args)
+        Y_ref, cache_ref = dense_gat_forward(feats, gt, *args)
+        assert np.abs(Y - Y_ref).max() < 1e-12
+        assert np.abs(cache["alpha"] - cache_ref["alpha"][:, gt.rows, gt.cols]).max() < 1e-12
+        dY = rng.normal(size=Y.shape)
+        dH, grads = nn.gat_backward(dY, cache, gt)
+        dH_ref, grads_ref = dense_gat_backward(dY, cache_ref, gt)
+        assert np.abs(dH - dH_ref).max() < 1e-12
+        assert grads.keys() == grads_ref.keys() == {"W", "a_src", "a_dst", "b"}
+        for k in grads:
+            assert grads[k].shape == grads_ref[k].shape
+            assert np.abs(grads[k] - grads_ref[k]).max() < 1e-12, k
 
     def test_naive_double_loop_oracle(self):
         gt = random_graph(8, n=7, feat_dim=5)
@@ -126,7 +224,7 @@ class TestGAT:
         for h in range(heads):
             Z = gt.x @ W[h]
             for i in range(7):
-                nbrs = [j for j in range(7) if gt.mask[i, j]]
+                nbrs = [j for j in range(7) if attention_mask(gt)[i, j]]
                 logits = np.array([leaky(a_src[h] @ Z[i] + a_dst[h] @ Z[j])
                                    for j in nbrs])
                 e = np.exp(logits - logits.max())

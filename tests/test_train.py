@@ -104,6 +104,42 @@ class TestTrainLoop:
         assert float(meta["val_total"]) == min(vals)
         assert int(meta["epoch"]) == report.best_epoch
 
+    def test_one_checkpoint_write_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        save = nn.save_checkpoint
+        monkeypatch.setattr(nn, "save_checkpoint",
+                            lambda path, *a: calls.append(path) or save(path, *a))
+        data = tiny_dataset(8)
+        train(tiny_config(epochs=4, seed=1), data, tmp_path / "c.txt")
+        assert calls == [tmp_path / "c.txt"]
+        calls.clear()
+        train(tiny_config(epochs=4, seed=1), data, tmp_path / "c.txt",
+              final_checkpoint_path=tmp_path / "final.txt")
+        assert calls == [tmp_path / "c.txt", tmp_path / "final.txt"]
+
+    def test_error_in_later_epoch_keeps_best_earlier_checkpoint(self, tmp_path,
+                                                               monkeypatch):
+        data = tiny_dataset(8)
+        cfg = tiny_config(epochs=5, seed=1)
+        # per-epoch reference: the best of epochs 1..3, written from the live
+        # parameters at the end of a run that stops at that epoch
+        best = train(tiny_config(epochs=3, seed=1), data, tmp_path / "a.txt").best_epoch
+        train(tiny_config(epochs=best, seed=1), data, tmp_path / "b.txt",
+              final_checkpoint_path=tmp_path / "ref.txt")
+        steps = []
+        adam_step = nn.adam_step
+
+        def failing_step(params, **kw):
+            steps.append(1)
+            if len(steps) == 3 * 2 + 2:  # 2 steps per epoch: epoch 4's second
+                raise RuntimeError("injected")
+            adam_step(params, **kw)
+
+        monkeypatch.setattr(nn, "adam_step", failing_step)
+        with pytest.raises(RuntimeError, match="injected"):
+            train(cfg, data, tmp_path / "crash.txt")
+        assert (tmp_path / "crash.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
     def test_skip_accounting(self, tmp_path):
         data = tiny_dataset(6)
         # a pair with 7 correspondences cannot seed E0 and must be skipped
