@@ -17,7 +17,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 def quat_to_rot(q) -> np.ndarray:
     """3x3 rotation matrix of a quaternion (renormalized internally)."""
-    w, x, y, z = normalize_quat(q)
+    w, x, y, z = normalize_quat(q).tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -118,12 +117,13 @@ def quat_to_rot_jacobian(q) -> np.ndarray:
 
     The caller is responsible for chaining through any normalization of q.
     """
-    w, x, y, z = np.asarray(q, dtype=float)
-    dw = 2 * np.array([[0, -z, y], [z, 0, -x], [-y, x, 0.0]])
-    dx = 2 * np.array([[0, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
-    dy = 2 * np.array([[-2 * y, x, w], [x, 0, z], [-w, z, -2 * y]])
-    dz = 2 * np.array([[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0.0]])
-    return np.stack([dw, dx, dy, dz])
+    w, x, y, z = (2.0 * np.asarray(q, dtype=float)).tolist()
+    return np.array([
+        [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]],
+        [[0.0, y, z], [y, -2 * x, -w], [z, w, -2 * x]],
+        [[-2 * y, x, w], [x, 0.0, z], [-w, z, -2 * y]],
+        [[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0.0]],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +189,6 @@ class Pose:
         return Pose(qi, -(quat_to_rot(qi) @ self.t))
 
 
-class YawResult(NamedTuple):
-    radians: float
-    gimbal_lock: bool
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -207,24 +202,17 @@ def normalize_pixels(P, K: Intrinsics) -> np.ndarray:
 
 def skew(t) -> np.ndarray:
     """Cross-product matrix: skew(t) @ v == cross(t, v)."""
-    t = np.asarray(t, dtype=float).reshape(3)
+    x, y, z = np.asarray(t, dtype=float).reshape(3).tolist()
     return np.array([
-        [0.0, -t[2], t[1]],
-        [t[2], 0.0, -t[0]],
-        [-t[1], t[0], 0.0],
+        [0.0, -z, y],
+        [z, 0.0, -x],
+        [-y, x, 0.0],
     ])
 
 
 def essential_from_pose(pose: Pose) -> np.ndarray:
     """E = [t]x R. Zero translation yields the (degenerate) zero matrix."""
     return skew(pose.t) @ pose.rotation()
-
-
-def epipolar_residual(x1, x2, E) -> float:
-    """Bilinear epipolar form x2^T E x1."""
-    x1 = np.asarray(x1, dtype=float).reshape(3)
-    x2 = np.asarray(x2, dtype=float).reshape(3)
-    return float(x2 @ np.asarray(E, dtype=float) @ x1)
 
 
 def sampson_distances(X1, X2, E, full_denominator: bool = False) -> np.ndarray:
@@ -261,14 +249,7 @@ def wrap_angle(a: float) -> float:
     return float(np.pi) if a == -np.pi else float(a)
 
 
-def yaw_of_full(q) -> YawResult:
-    """Yaw under the ZYX Euler split, with a gimbal-lock flag at |pitch| = pi/2."""
-    R = quat_to_rot(q)
-    # pitch = -asin(R[2,0]); lock when |R[2,0]| -> 1
-    gimbal = bool(abs(R[2, 0]) > 1.0 - 1e-9)
-    return YawResult(float(np.arctan2(R[1, 0], R[0, 0])), gimbal)
-
-
 def yaw_of(q) -> float:
-    """Yaw angle in radians, in (-pi, pi]."""
-    return yaw_of_full(q).radians
+    """Yaw angle in radians, in (-pi, pi]: atan2(R[1,0], R[0,0])."""
+    R = quat_to_rot(q)
+    return float(np.arctan2(R[1, 0], R[0, 0]))

@@ -2,19 +2,31 @@
 
 Terms: hemisphere-aligned quaternion distance, translation direction
 (1 - cosine) and scale (absolute norm gap), Frobenius alignment of the
-reconstructed essential matrix, its spectral regularizer
+reconstructed essential matrix E = [t]x R, its spectral regularizer
 (s1 - s2)^2 + s3^2, and the heading (yaw) gap.  Total is the
 lambda-weighted sum with L_pose = L_quat + L_t_dir + L_t_scale.
 
-Each term has an analytic gradient with respect to the raw predicted
-quaternion (differentiated through its renormalization) and the full
-predicted translation vector.  The hemisphere sign and the yaw wrap are
-chosen in the forward pass and frozen for the backward pass.
+The spectral regularizer is identically 0: [t]x R has singular values
+(|t|, |t|, 0) for every rotation R (Hartley & Zisserman, *Multiple View
+Geometry*, 9.6), so the term and its gradient are exact zeros, and
+``svd_loss`` keeps the numeric SVD only as a check of the identity.
+Found with this: the paper's term (iii) compares the estimated with the
+ground-truth singular values, which this term does not; changing the
+objective is out of scope here.
+
+Each total_loss/total_loss_grad call builds one PredictionState that
+every term reads; a PoseTarget derives its constants once.  Gradients
+are taken with respect to the raw predicted quaternion (through its
+renormalization) and the full predicted translation vector.  The
+hemisphere sign and the yaw wrap are chosen in the forward pass and
+frozen for the backward pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +72,24 @@ class LossBreakdown:
         return self.quat + self.t_dir + self.t_scale
 
 
+def _norm(x) -> float:
+    """Euclidean (Frobenius) norm, as np.linalg.norm computes it."""
+    x = x.ravel()
+    return math.sqrt(x @ x)
+
+
+def _check_unit(n, what: str) -> None:
+    if abs(n - 1.0) > _UNIT_TOL:
+        raise ValidationError(f"{what} is not unit norm (|q| = {n})")
+
+
 @dataclass(frozen=True)
 class PoseTarget:
-    """Supervision payload: ground-truth pose plus its derived essential
-    matrix (full-magnitude translation unless normalized_e is set)."""
+    """Supervision payload: ground-truth pose plus its essential matrix
+    (compared at unit Frobenius norm when normalized_e is set).
+
+    The constants the terms read are derived on first use and kept.  A
+    field that no evaluated term reads may be None."""
 
     q: np.ndarray
     t: np.ndarray
@@ -72,134 +98,200 @@ class PoseTarget:
 
     @classmethod
     def from_pose(cls, pose: Pose, normalized_e: bool = False) -> "PoseTarget":
-        E = essential_from_pose(pose)
-        if normalized_e:
-            n = np.linalg.norm(E)
+        return cls(pose.q.copy(), pose.t.copy(), essential_from_pose(pose), normalized_e)
+
+    @cached_property
+    def q_unit(self) -> np.ndarray:
+        """q scaled to unit norm; ValidationError if |q| is off 1 by > 1e-6."""
+        q = np.asarray(self.q, dtype=float).reshape(4)
+        n = _norm(q)
+        _check_unit(n, "ground-truth quaternion")
+        return q / n
+
+    @cached_property
+    def t_norm(self) -> float:
+        return _norm(np.asarray(self.t, dtype=float))
+
+    @cached_property
+    def t_unit(self) -> np.ndarray:
+        if self.t_norm <= 0:
+            raise InvalidInputError("ground-truth translation must be nonzero")
+        return np.asarray(self.t, dtype=float).reshape(3) / self.t_norm
+
+    @cached_property
+    def yaw(self) -> float:
+        return yaw_of(self.q_unit)
+
+    @cached_property
+    def E_ref(self) -> np.ndarray:
+        """The matrix the Frobenius term compares with: E, scaled to unit
+        norm when normalized_e is set."""
+        E = np.asarray(self.E, dtype=float)
+        if self.normalized_e:
+            n = _norm(E)
             if n > 1e-15:
-                E = E / n
-        return cls(pose.q.copy(), pose.t.copy(), E, normalized_e)
+                return E / n
+        return E
 
 
-def _unit(q, what: str) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(4)
-    n = np.linalg.norm(q)
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise ValidationError(f"{what} is not unit norm (|q| = {n})")
-    return q / n
+class PredictionState:
+    """One predicted pose in the form every term reads: u = q/|q| and
+    |q|, R = R(u), t and |t|, [t]x and E = [t]x R, and, when built for a
+    gradient, J = dR/du as a (4, 3, 3) array."""
 
+    __slots__ = ("u", "n", "R", "t", "t_norm", "tx", "E", "J")
 
-def _project(vec, u, n):
-    """Chain a gradient through x -> x/|x| at the unit point u with |x| = n."""
-    vec = np.asarray(vec, dtype=float)
-    return (vec - (u @ vec) * u) / n
+    def __init__(self, q, t, grad: bool = False):
+        q = np.asarray(q, dtype=float).reshape(4)
+        self.n = _norm(q)
+        self.u = q / self.n
+        self.t = np.asarray(t, dtype=float).reshape(3)
+        self.t_norm = _norm(self.t)
+        self.R = quat_to_rot(self.u)
+        self.tx = skew(self.t)
+        self.E = self.tx @ self.R
+        self.J = quat_to_rot_jacobian(self.u) if grad else None
+
+    def check_unit(self) -> "PredictionState":
+        _check_unit(self.n, "predicted quaternion")
+        return self
+
+    def chain(self, du) -> np.ndarray:
+        """Map dL/du onto the raw quaternion through u = q/|q|."""
+        return (du - (self.u @ du) * self.u) / self.n
 
 
 # ---------------------------------------------------------------------------
-# Quaternion term
+# Terms.  Each maps (state, target) to its value or, with grad=True, to
+# (value, dL/du, dL/dt); the caller chains dL/du through u = q/|q|.
 # ---------------------------------------------------------------------------
+
+def _quat(p: PredictionState, g: PoseTarget, grad: bool = False, norm: str = "l2"):
+    """Distance after flipping u onto the hemisphere of q_gt."""
+    if norm not in ("l1", "l2"):
+        raise InvalidInputError(f"unknown norm {norm!r}")
+    qg = g.q_unit
+    s = 1.0 if p.u @ qg >= 0 else -1.0
+    d = s * p.u - qg
+    if norm == "l1":
+        val = float(np.abs(d).sum())
+        return (val, s * np.sign(d), np.zeros(3)) if grad else val
+    val = _norm(d)
+    if not grad:
+        return val
+    return val, (s * d / val if val > 1e-12 else np.zeros(4)), np.zeros(3)
+
+
+def _t_dir(p: PredictionState, g: PoseTarget, grad: bool = False):
+    """1 - cos angle; a zero-norm prediction counts as orthogonal (loss 1)."""
+    v = g.t_unit
+    if p.t_norm < 1e-15:
+        return (1.0, np.zeros(4), np.zeros(3)) if grad else 1.0
+    u = p.t / p.t_norm
+    c = u @ v
+    val = float(1.0 - c)
+    if not grad:
+        return val
+    return val, np.zeros(4), -(v - c * u) / p.t_norm
+
+
+def _t_scale(p: PredictionState, g: PoseTarget, grad: bool = False):
+    """| |t_pred| - |t_gt| |."""
+    diff = p.t_norm - g.t_norm
+    val = abs(diff)
+    if not grad:
+        return val
+    if p.t_norm < 1e-15:
+        return val, np.zeros(4), np.zeros(3)
+    return val, np.zeros(4), np.sign(diff) * p.t / p.t_norm
+
+
+def _frob(p: PredictionState, g: PoseTarget, grad: bool = False):
+    """Frobenius gap between E = [t]x R(u) and the target's E.
+
+    Under normalized_e both matrices are compared at unit Frobenius norm
+    (scale-free variant); a zero-norm prediction is left unscaled."""
+    E, npred = p.E, _norm(p.E)
+    scaled = g.normalized_e and npred > 1e-15
+    if scaled:
+        E = E / npred
+    D = E - g.E_ref
+    val = _norm(D)
+    if not grad:
+        return val
+    if val < 1e-12 or g.normalized_e and not scaled:
+        return val, np.zeros(4), np.zeros(3)
+    G = D / val
+    if scaled:
+        G = (G - np.vdot(G, E) * E) / npred
+    # dL/dR = [t]x^T G; dL/dt is the vee of G R^T - R G^T.
+    du = p.J.reshape(4, 9) @ (p.tx.T @ G).ravel()
+    M = G @ p.R.T
+    dt = np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+    return val, du, dt
+
+
+def _svd(p: PredictionState, g: PoseTarget, grad: bool = False):
+    """Spectral regularizer of [t]x R: identically 0 (module docstring)."""
+    return (0.0, np.zeros(4), np.zeros(3)) if grad else 0.0
+
+
+def _yaw(p: PredictionState, g: PoseTarget, grad: bool = False):
+    """|wrapped yaw gap| in [0, pi]."""
+    a, b = p.R[0, 0], p.R[1, 0]     # yaw = atan2(b, a)
+    diff = wrap_angle(float(np.arctan2(b, a)) - g.yaw)
+    val = abs(diff)
+    if not grad:
+        return val
+    den = a * a + b * b
+    if den < 1e-12 or val < 1e-12:
+        return val, np.zeros(4), np.zeros(3)
+    dyaw = (a * p.J[:, 1, 0] - b * p.J[:, 0, 0]) / den
+    return val, np.sign(diff) * dyaw, np.zeros(3)
+
+
+# ---------------------------------------------------------------------------
+# Public per-term functions: adapters over the terms above.  Arguments a
+# term does not read are filled with placeholders.
+# ---------------------------------------------------------------------------
+
+_NO_Q = np.array([1.0, 0.0, 0.0, 0.0])
+_NO_T = np.zeros(3)
+
+
+def _grad(term, q_pred, t_pred, target: PoseTarget, **kw):
+    """(value, dL/dq_raw, dL/dt) of one term."""
+    p = PredictionState(q_pred, t_pred, grad=True)
+    val, du, dt = term(p, target, True, **kw)
+    return val, p.chain(du), dt
+
 
 def quat_loss(q_pred, q_gt, norm: str = "l2") -> float:
     """Distance after flipping q_pred onto the hemisphere of q_gt."""
-    qp = _unit(q_pred, "predicted quaternion")
-    qg = _unit(q_gt, "ground-truth quaternion")
-    s = 1.0 if qp @ qg >= 0 else -1.0
-    d = s * qp - qg
-    if norm == "l2":
-        return float(np.linalg.norm(d))
-    if norm == "l1":
-        return float(np.abs(d).sum())
-    raise InvalidInputError(f"unknown norm {norm!r}")
+    return _quat(PredictionState(q_pred, _NO_T).check_unit(), PoseTarget(q_gt, None, None),
+                 norm=norm)
 
 
 def quat_loss_grad(q_pred, q_gt, norm: str = "l2"):
-    q_raw = np.asarray(q_pred, dtype=float).reshape(4)
-    n = np.linalg.norm(q_raw)
-    u = q_raw / n
-    qg = _unit(q_gt, "ground-truth quaternion")
-    s = 1.0 if u @ qg >= 0 else -1.0
-    d = s * u - qg
-    if norm == "l2":
-        val = float(np.linalg.norm(d))
-        du = s * d / val if val > 1e-12 else np.zeros(4)
-    elif norm == "l1":
-        val = float(np.abs(d).sum())
-        du = s * np.sign(d)
-    else:
-        raise InvalidInputError(f"unknown norm {norm!r}")
-    return val, _project(du, u, n), np.zeros(3)
+    return _grad(_quat, q_pred, _NO_T, PoseTarget(q_gt, None, None), norm=norm)
 
-
-# ---------------------------------------------------------------------------
-# Translation terms
-# ---------------------------------------------------------------------------
 
 def t_dir_loss(t_pred, t_gt) -> float:
     """1 - cos angle; a zero-norm prediction counts as orthogonal (loss 1)."""
-    t_pred = np.asarray(t_pred, dtype=float).reshape(3)
-    t_gt = np.asarray(t_gt, dtype=float).reshape(3)
-    ng = np.linalg.norm(t_gt)
-    if ng <= 0:
-        raise InvalidInputError("ground-truth translation must be nonzero")
-    np_ = np.linalg.norm(t_pred)
-    if np_ < 1e-15:
-        return 1.0
-    return float(1.0 - (t_pred @ t_gt) / (np_ * ng))
+    return _t_dir(PredictionState(_NO_Q, t_pred), PoseTarget(None, t_gt, None))
 
 
 def t_dir_loss_grad(t_pred, t_gt):
-    t_pred = np.asarray(t_pred, dtype=float).reshape(3)
-    t_gt = np.asarray(t_gt, dtype=float).reshape(3)
-    ng = np.linalg.norm(t_gt)
-    if ng <= 0:
-        raise InvalidInputError("ground-truth translation must be nonzero")
-    np_ = np.linalg.norm(t_pred)
-    if np_ < 1e-15:
-        return 1.0, np.zeros(4), np.zeros(3)
-    u = t_pred / np_
-    v = t_gt / ng
-    val = float(1.0 - u @ v)
-    dt = -(v - (u @ v) * u) / np_
-    return val, np.zeros(4), dt
+    return _grad(_t_dir, _NO_Q, t_pred, PoseTarget(None, t_gt, None))
 
 
 def t_scale_loss(t_pred, t_gt) -> float:
     """| |t_pred| - |t_gt| |."""
-    np_ = np.linalg.norm(np.asarray(t_pred, dtype=float))
-    ng = np.linalg.norm(np.asarray(t_gt, dtype=float))
-    return float(abs(np_ - ng))
+    return _t_scale(PredictionState(_NO_Q, t_pred), PoseTarget(None, t_gt, None))
 
 
 def t_scale_loss_grad(t_pred, t_gt):
-    t_pred = np.asarray(t_pred, dtype=float).reshape(3)
-    np_ = np.linalg.norm(t_pred)
-    ng = np.linalg.norm(np.asarray(t_gt, dtype=float))
-    val = float(abs(np_ - ng))
-    if np_ < 1e-15:
-        return val, np.zeros(4), np.zeros(3)
-    dt = np.sign(np_ - ng) * t_pred / np_
-    return val, np.zeros(4), dt
-
-
-# ---------------------------------------------------------------------------
-# Essential-matrix terms
-# ---------------------------------------------------------------------------
-
-def _e_pred(q_pred, t_pred):
-    q_raw = np.asarray(q_pred, dtype=float).reshape(4)
-    n = np.linalg.norm(q_raw)
-    u = q_raw / n
-    t = np.asarray(t_pred, dtype=float).reshape(3)
-    R = quat_to_rot(u)
-    return skew(t) @ R, u, n, t, R
-
-
-def _chain_e_grads(G, u, n, t, R):
-    """Map dL/dE_pred onto (raw quaternion, translation) gradients."""
-    J = quat_to_rot_jacobian(u)
-    du = np.array([np.sum(G * (skew(t) @ J[k])) for k in range(4)])
-    basis = np.eye(3)
-    dt = np.array([np.sum(G * (skew(basis[k]) @ R)) for k in range(3)])
-    return _project(du, u, n), dt
+    return _grad(_t_scale, _NO_Q, t_pred, PoseTarget(None, t_gt, None))
 
 
 def frob_loss(q_pred, t_pred, E_gt, normalized: bool = False) -> float:
@@ -207,42 +299,11 @@ def frob_loss(q_pred, t_pred, E_gt, normalized: bool = False) -> float:
 
     ``normalized`` compares unit-Frobenius versions of both matrices
     (scale-free variant)."""
-    E_p, *_ = _e_pred(q_pred, t_pred)
-    E_gt = np.asarray(E_gt, dtype=float)
-    if normalized:
-        npred = np.linalg.norm(E_p)
-        ngt = np.linalg.norm(E_gt)
-        if npred > 1e-15:
-            E_p = E_p / npred
-        if ngt > 1e-15:
-            E_gt = E_gt / ngt
-    return float(np.linalg.norm(E_p - E_gt))
+    return _frob(PredictionState(q_pred, t_pred), PoseTarget(None, None, E_gt, normalized))
 
 
 def frob_loss_grad(q_pred, t_pred, E_gt, normalized: bool = False):
-    E_p, u, n, t, R = _e_pred(q_pred, t_pred)
-    E_gt = np.asarray(E_gt, dtype=float)
-    if normalized:
-        npred = np.linalg.norm(E_p)
-        ngt = np.linalg.norm(E_gt)
-        Eg = E_gt / ngt if ngt > 1e-15 else E_gt
-        if npred < 1e-15:
-            return float(np.linalg.norm(E_p - Eg)), np.zeros(4), np.zeros(3)
-        Ep_hat = E_p / npred
-        D = Ep_hat - Eg
-        val = float(np.linalg.norm(D))
-        if val < 1e-12:
-            return val, np.zeros(4), np.zeros(3)
-        G0 = D / val
-        G = (G0 - np.sum(G0 * Ep_hat) * Ep_hat) / npred
-    else:
-        D = E_p - E_gt
-        val = float(np.linalg.norm(D))
-        if val < 1e-12:
-            return val, np.zeros(4), np.zeros(3)
-        G = D / val
-    dq, dt = _chain_e_grads(G, u, n, t, R)
-    return val, dq, dt
+    return _grad(_frob, q_pred, t_pred, PoseTarget(None, None, E_gt, normalized))
 
 
 def svd_loss_matrix(E) -> float:
@@ -251,86 +312,42 @@ def svd_loss_matrix(E) -> float:
     return float((S[0] - S[1]) ** 2 + S[2] ** 2)
 
 
-def svd_loss_matrix_grad(E):
-    """Value and dL/dE of the spectral regularizer for any 3x3 matrix.
-
-    Uses d sigma_k / dE = u_k v_k^T; the (s1, s2) pair term is dropped
-    inside a 1e-9 gap guard where its coefficient vanishes anyway."""
-    E = np.asarray(E, dtype=float)
-    U, S, Vt = np.linalg.svd(E)
-    val = float((S[0] - S[1]) ** 2 + S[2] ** 2)
-    G = 2.0 * S[2] * np.outer(U[:, 2], Vt[2])
-    if S[0] - S[1] > 1e-9:
-        G = G + 2.0 * (S[0] - S[1]) * (np.outer(U[:, 0], Vt[0]) - np.outer(U[:, 1], Vt[1]))
-    return val, G
-
-
 def svd_loss(q_pred, t_pred) -> float:
-    """Spectral regularizer of the reconstructed essential matrix."""
-    E_p, *_ = _e_pred(q_pred, t_pred)
-    return svd_loss_matrix(E_p)
+    """Numeric spectral regularizer of [t_pred]x R(q_pred): a check of
+    the identity that makes the training term exactly 0."""
+    return svd_loss_matrix(PredictionState(q_pred, t_pred).E)
 
-
-def svd_loss_grad(q_pred, t_pred):
-    E_p, u, n, t, R = _e_pred(q_pred, t_pred)
-    val, G = svd_loss_matrix_grad(E_p)
-    dq, dt = _chain_e_grads(G, u, n, t, R)
-    return val, dq, dt
-
-
-# ---------------------------------------------------------------------------
-# Yaw term
-# ---------------------------------------------------------------------------
 
 def yaw_loss(q_pred, q_gt) -> float:
     """|wrapped yaw gap| in [0, pi]."""
-    qp = _unit(q_pred, "predicted quaternion")
-    qg = _unit(q_gt, "ground-truth quaternion")
-    return abs(wrap_angle(yaw_of(qp) - yaw_of(qg)))
+    return _yaw(PredictionState(q_pred, _NO_T).check_unit(), PoseTarget(q_gt, None, None))
 
 
 def yaw_loss_grad(q_pred, q_gt):
-    q_raw = np.asarray(q_pred, dtype=float).reshape(4)
-    n = np.linalg.norm(q_raw)
-    u = q_raw / n
-    qg = _unit(q_gt, "ground-truth quaternion")
-    R = quat_to_rot(u)
-    a, b = R[0, 0], R[1, 0]     # yaw = atan2(b, a)
-    diff = wrap_angle(yaw_of(u) - yaw_of(qg))
-    val = abs(diff)
-    den = a * a + b * b
-    if den < 1e-12 or val < 1e-12:
-        return val, np.zeros(4), np.zeros(3)
-    J = quat_to_rot_jacobian(u)
-    dyaw = np.array([(a * J[k][1, 0] - b * J[k][0, 0]) / den for k in range(4)])
-    du = np.sign(diff) * dyaw
-    return val, _project(du, u, n), np.zeros(3)
+    return _grad(_yaw, q_pred, _NO_T, PoseTarget(q_gt, None, None))
 
 
 # ---------------------------------------------------------------------------
 # Total
 # ---------------------------------------------------------------------------
 
-# Uniform-signature registries, keyed by LossBreakdown's fields in field
-# order: every entry maps (q_pred, t_pred, target) to a value / (value,
-# dq, dt) triple.  Only TERM_GRADS has "total"; the gradient checker reads
-# its central differences off total_loss's breakdown.
+# The terms, keyed by LossBreakdown's fields in field order.  total_loss
+# and total_loss_grad call each entry once per call, as (state, target)
+# or (state, target, True).  TERM_GRADS maps (q_pred, t_pred, target) to
+# a (value, dq, dt) triple for every term and "total"; the gradient
+# checker reads its central differences off total_loss's breakdown.
 TERM_VALUES = {
-    "quat": lambda q, t, tgt: quat_loss(q, tgt.q),
-    "t_dir": lambda q, t, tgt: t_dir_loss(t, tgt.t),
-    "t_scale": lambda q, t, tgt: t_scale_loss(t, tgt.t),
-    "frob": lambda q, t, tgt: frob_loss(q, t, tgt.E, normalized=tgt.normalized_e),
-    "svd": lambda q, t, tgt: svd_loss(q, t),
-    "yaw": lambda q, t, tgt: yaw_loss(q, tgt.q),
+    "quat": _quat,
+    "t_dir": _t_dir,
+    "t_scale": _t_scale,
+    "frob": _frob,
+    "svd": _svd,
+    "yaw": _yaw,
 }
 
 TERM_GRADS = {
-    "quat": lambda q, t, tgt: quat_loss_grad(q, tgt.q),
-    "t_dir": lambda q, t, tgt: t_dir_loss_grad(t, tgt.t),
-    "t_scale": lambda q, t, tgt: t_scale_loss_grad(t, tgt.t),
-    "frob": lambda q, t, tgt: frob_loss_grad(q, t, tgt.E, normalized=tgt.normalized_e),
-    "svd": lambda q, t, tgt: svd_loss_grad(q, t),
-    "yaw": lambda q, t, tgt: yaw_loss_grad(q, tgt.q),
+    **{term: (lambda q, t, tgt, term=term: _grad(TERM_VALUES[term], q, t, tgt))
+       for term in TERM_VALUES},
     "total": lambda q, t, tgt: _total_grad_triple(q, t, tgt),
 }
 
@@ -343,17 +360,18 @@ def _weighted(w: LossWeights, quat, t_dir, t_scale, frob, svd, yaw):
 
 def total_loss(q_pred, t_pred, target: PoseTarget,
                weights: LossWeights = LossWeights()) -> LossBreakdown:
-    vals = [value(q_pred, t_pred, target) for value in TERM_VALUES.values()]
+    p = PredictionState(q_pred, t_pred).check_unit()
+    vals = [term(p, target) for term in TERM_VALUES.values()]
     return LossBreakdown(*vals, _weighted(weights, *vals))
 
 
 def total_loss_grad(q_pred, t_pred, target: PoseTarget,
                     weights: LossWeights = LossWeights()):
     """Breakdown plus gradients wrt (raw quaternion, full translation)."""
-    vals, dqs, dts = zip(*(TERM_GRADS[term](q_pred, t_pred, target)
-                           for term in TERM_VALUES))
+    p = PredictionState(q_pred, t_pred, grad=True)
+    vals, dus, dts = zip(*(term(p, target, True) for term in TERM_VALUES.values()))
     bd = LossBreakdown(*vals, _weighted(weights, *vals))
-    return bd, _weighted(weights, *dqs), _weighted(weights, *dts)
+    return bd, p.chain(_weighted(weights, *dus)), _weighted(weights, *dts)
 
 
 def _total_grad_triple(q, t, tgt):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from epigraph.errors import InvalidInputError, ValidationError
-from epigraph.geom import Pose, essential_from_pose, quat_from_axis_angle, yaw_of, wrap_angle
+from epigraph.geom import (
+    Pose,
+    essential_from_pose,
+    quat_from_axis_angle,
+    quat_to_rot,
+    quat_to_rot_jacobian,
+    skew,
+    wrap_angle,
+    yaw_of,
+)
 from epigraph.losses import (
     TERM_GRADS,
     TERM_VALUES,
@@ -16,9 +25,7 @@ from epigraph.losses import (
     quat_loss,
     quat_loss_grad,
     svd_loss,
-    svd_loss_grad,
     svd_loss_matrix,
-    svd_loss_matrix_grad,
     t_dir_loss,
     t_dir_loss_grad,
     t_scale_loss,
@@ -332,26 +339,393 @@ class TestGradientFidelity:
                    lambda q, t: (lambda bd, dq, dt: (bd.total, dq, dt))(
                        *total_loss_grad(q, t, self.target, w)))
 
-    def test_svd_matrix_grad_off_manifold(self):
-        # checked away from repeated singular values (perturbation >= 1e-3)
-        rng = np.random.default_rng(22)
-        E = essential_from_pose(Pose(unit_quat(rng), [0.3, 0.4, 0.5]))
-        E = E + 5e-3 * rng.normal(size=(3, 3))
-        s = np.linalg.svd(E, compute_uv=False)
-        assert s[0] - s[1] > 1e-3
-        val, G = svd_loss_matrix_grad(E)
-        h = 1e-7
-        for i in range(3):
-            for j in range(3):
-                P = E.copy()
-                P[i, j] += h
-                fp = svd_loss_matrix(P)
-                P[i, j] -= 2 * h
-                fm = svd_loss_matrix(P)
-                fd = (fp - fm) / (2 * h)
-                assert abs(G[i, j] - fd) / max(abs(G[i, j]), abs(fd), 1e-3) < 1e-5
-
 
 def test_breakdown_total_consistency():
     bd = LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 21.0)
     assert bd.pose == 6.0
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-term loss code before the shared prediction state.  Each
+# term renormalizes q and rebuilds R, its Jacobian and E on its own, the
+# Frobenius gradient is chained through per-entry contractions, and the
+# spectral term runs a numeric SVD.  The state-based terms must match it.
+# ---------------------------------------------------------------------------
+
+def o_unit(q, what):
+    q = np.asarray(q, dtype=float).reshape(4)
+    n = np.linalg.norm(q)
+    if abs(n - 1.0) > 1e-6:
+        raise ValidationError(f"{what} is not unit norm (|q| = {n})")
+    return q / n
+
+
+def o_project(vec, u, n):
+    return (vec - (u @ vec) * u) / n
+
+
+def o_yaw_of(q):
+    R = quat_to_rot(q)
+    return float(np.arctan2(R[1, 0], R[0, 0]))
+
+
+def o_quat_loss(q_pred, q_gt):
+    qp = o_unit(q_pred, "predicted quaternion")
+    qg = o_unit(q_gt, "ground-truth quaternion")
+    s = 1.0 if qp @ qg >= 0 else -1.0
+    return float(np.linalg.norm(s * qp - qg))
+
+
+def o_quat_loss_grad(q_pred, q_gt):
+    q_raw = np.asarray(q_pred, dtype=float).reshape(4)
+    n = np.linalg.norm(q_raw)
+    u = q_raw / n
+    qg = o_unit(q_gt, "ground-truth quaternion")
+    s = 1.0 if u @ qg >= 0 else -1.0
+    d = s * u - qg
+    val = float(np.linalg.norm(d))
+    du = s * d / val if val > 1e-12 else np.zeros(4)
+    return val, o_project(du, u, n), np.zeros(3)
+
+
+def o_t_dir_loss(t_pred, t_gt):
+    t_pred = np.asarray(t_pred, dtype=float).reshape(3)
+    t_gt = np.asarray(t_gt, dtype=float).reshape(3)
+    ng = np.linalg.norm(t_gt)
+    if ng <= 0:
+        raise InvalidInputError("ground-truth translation must be nonzero")
+    np_ = np.linalg.norm(t_pred)
+    if np_ < 1e-15:
+        return 1.0
+    return float(1.0 - (t_pred @ t_gt) / (np_ * ng))
+
+
+def o_t_dir_loss_grad(t_pred, t_gt):
+    t_pred = np.asarray(t_pred, dtype=float).reshape(3)
+    t_gt = np.asarray(t_gt, dtype=float).reshape(3)
+    ng = np.linalg.norm(t_gt)
+    if ng <= 0:
+        raise InvalidInputError("ground-truth translation must be nonzero")
+    np_ = np.linalg.norm(t_pred)
+    if np_ < 1e-15:
+        return 1.0, np.zeros(4), np.zeros(3)
+    u = t_pred / np_
+    v = t_gt / ng
+    val = float(1.0 - u @ v)
+    return val, np.zeros(4), -(v - (u @ v) * u) / np_
+
+
+def o_t_scale_loss(t_pred, t_gt):
+    return float(abs(np.linalg.norm(np.asarray(t_pred, dtype=float))
+                     - np.linalg.norm(np.asarray(t_gt, dtype=float))))
+
+
+def o_t_scale_loss_grad(t_pred, t_gt):
+    t_pred = np.asarray(t_pred, dtype=float).reshape(3)
+    np_ = np.linalg.norm(t_pred)
+    ng = np.linalg.norm(np.asarray(t_gt, dtype=float))
+    val = float(abs(np_ - ng))
+    if np_ < 1e-15:
+        return val, np.zeros(4), np.zeros(3)
+    return val, np.zeros(4), np.sign(np_ - ng) * t_pred / np_
+
+
+def o_e_pred(q_pred, t_pred):
+    q_raw = np.asarray(q_pred, dtype=float).reshape(4)
+    n = np.linalg.norm(q_raw)
+    u = q_raw / n
+    t = np.asarray(t_pred, dtype=float).reshape(3)
+    R = quat_to_rot(u)
+    return skew(t) @ R, u, n, t, R
+
+
+def o_chain_e_grads(G, u, n, t, R):
+    J = quat_to_rot_jacobian(u)
+    du = np.array([np.sum(G * (skew(t) @ J[k])) for k in range(4)])
+    basis = np.eye(3)
+    dt = np.array([np.sum(G * (skew(basis[k]) @ R)) for k in range(3)])
+    return o_project(du, u, n), dt
+
+
+def o_frob_loss(q_pred, t_pred, E_gt, normalized=False):
+    E_p, *_ = o_e_pred(q_pred, t_pred)
+    E_gt = np.asarray(E_gt, dtype=float)
+    if normalized:
+        npred = np.linalg.norm(E_p)
+        ngt = np.linalg.norm(E_gt)
+        if npred > 1e-15:
+            E_p = E_p / npred
+        if ngt > 1e-15:
+            E_gt = E_gt / ngt
+    return float(np.linalg.norm(E_p - E_gt))
+
+
+def o_frob_loss_grad(q_pred, t_pred, E_gt, normalized=False):
+    E_p, u, n, t, R = o_e_pred(q_pred, t_pred)
+    E_gt = np.asarray(E_gt, dtype=float)
+    if normalized:
+        npred = np.linalg.norm(E_p)
+        ngt = np.linalg.norm(E_gt)
+        Eg = E_gt / ngt if ngt > 1e-15 else E_gt
+        if npred < 1e-15:
+            return float(np.linalg.norm(E_p - Eg)), np.zeros(4), np.zeros(3)
+        Ep_hat = E_p / npred
+        D = Ep_hat - Eg
+        val = float(np.linalg.norm(D))
+        if val < 1e-12:
+            return val, np.zeros(4), np.zeros(3)
+        G0 = D / val
+        G = (G0 - np.sum(G0 * Ep_hat) * Ep_hat) / npred
+    else:
+        D = E_p - E_gt
+        val = float(np.linalg.norm(D))
+        if val < 1e-12:
+            return val, np.zeros(4), np.zeros(3)
+        G = D / val
+    dq, dt = o_chain_e_grads(G, u, n, t, R)
+    return val, dq, dt
+
+
+def o_svd_loss_matrix_grad(E):
+    U, S, Vt = np.linalg.svd(np.asarray(E, dtype=float))
+    val = float((S[0] - S[1]) ** 2 + S[2] ** 2)
+    G = 2.0 * S[2] * np.outer(U[:, 2], Vt[2])
+    if S[0] - S[1] > 1e-9:
+        G = G + 2.0 * (S[0] - S[1]) * (np.outer(U[:, 0], Vt[0]) - np.outer(U[:, 1], Vt[1]))
+    return val, G
+
+
+def o_svd_loss(q_pred, t_pred):
+    E_p, *_ = o_e_pred(q_pred, t_pred)
+    return o_svd_loss_matrix_grad(E_p)[0]
+
+
+def o_svd_loss_grad(q_pred, t_pred):
+    E_p, u, n, t, R = o_e_pred(q_pred, t_pred)
+    val, G = o_svd_loss_matrix_grad(E_p)
+    dq, dt = o_chain_e_grads(G, u, n, t, R)
+    return val, dq, dt
+
+
+def o_yaw_loss(q_pred, q_gt):
+    qp = o_unit(q_pred, "predicted quaternion")
+    qg = o_unit(q_gt, "ground-truth quaternion")
+    return abs(wrap_angle(o_yaw_of(qp) - o_yaw_of(qg)))
+
+
+def o_yaw_loss_grad(q_pred, q_gt):
+    q_raw = np.asarray(q_pred, dtype=float).reshape(4)
+    n = np.linalg.norm(q_raw)
+    u = q_raw / n
+    qg = o_unit(q_gt, "ground-truth quaternion")
+    R = quat_to_rot(u)
+    a, b = R[0, 0], R[1, 0]
+    diff = wrap_angle(o_yaw_of(u) - o_yaw_of(qg))
+    val = abs(diff)
+    den = a * a + b * b
+    if den < 1e-12 or val < 1e-12:
+        return val, np.zeros(4), np.zeros(3)
+    J = quat_to_rot_jacobian(u)
+    dyaw = np.array([(a * J[k][1, 0] - b * J[k][0, 0]) / den for k in range(4)])
+    return val, o_project(np.sign(diff) * dyaw, u, n), np.zeros(3)
+
+
+O_TERM_VALUES = {
+    "quat": lambda q, t, tgt: o_quat_loss(q, tgt.q),
+    "t_dir": lambda q, t, tgt: o_t_dir_loss(t, tgt.t),
+    "t_scale": lambda q, t, tgt: o_t_scale_loss(t, tgt.t),
+    "frob": lambda q, t, tgt: o_frob_loss(q, t, tgt.E, normalized=tgt.normalized_e),
+    "svd": lambda q, t, tgt: o_svd_loss(q, t),
+    "yaw": lambda q, t, tgt: o_yaw_loss(q, tgt.q),
+}
+
+O_TERM_GRADS = {
+    "quat": lambda q, t, tgt: o_quat_loss_grad(q, tgt.q),
+    "t_dir": lambda q, t, tgt: o_t_dir_loss_grad(t, tgt.t),
+    "t_scale": lambda q, t, tgt: o_t_scale_loss_grad(t, tgt.t),
+    "frob": lambda q, t, tgt: o_frob_loss_grad(q, t, tgt.E, normalized=tgt.normalized_e),
+    "svd": lambda q, t, tgt: o_svd_loss_grad(q, t),
+    "yaw": lambda q, t, tgt: o_yaw_loss_grad(q, tgt.q),
+}
+
+
+def o_weighted(w, quat, t_dir, t_scale, frob, svd, yaw):
+    return (w.lambda_pose * (quat + t_dir + t_scale) + w.lambda_frob * frob
+            + w.lambda_svd * svd + w.lambda_yaw * yaw)
+
+
+def o_total_loss(q, t, tgt, w=LossWeights()):
+    vals = [value(q, t, tgt) for value in O_TERM_VALUES.values()]
+    return LossBreakdown(*vals, o_weighted(w, *vals))
+
+
+def o_total_loss_grad(q, t, tgt, w=LossWeights(), terms=None):
+    if terms is None:
+        terms = [grad(q, t, tgt) for grad in O_TERM_GRADS.values()]
+    vals, dqs, dts = zip(*terms)
+    return (LossBreakdown(*vals, o_weighted(w, *vals)),
+            o_weighted(w, *dqs), o_weighted(w, *dts))
+
+
+def assert_close(got, want, what):
+    """|got - want| <= 1e-12 * max(|want|, 1), elementwise."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert err.max(initial=0.0) <= 1e-12, (what, got, want)
+
+
+def assert_matches_oracle(q, t, tgt, w=LossWeights()):
+    """total_loss (when q is unit), total_loss_grad and every TERM_GRADS
+    entry against the oracle, term by term."""
+    names = [f.name for f in dataclasses.fields(LossBreakdown)]
+    if abs(np.linalg.norm(q) - 1.0) <= 1e-6:
+        bd, want = total_loss(q, t, tgt, w), o_total_loss(q, t, tgt, w)
+        for name in names:
+            assert_close(getattr(bd, name), getattr(want, name), ("total_loss", name))
+            assert type(getattr(bd, name)) is float, name
+    want_terms = {term: grad(q, t, tgt) for term, grad in O_TERM_GRADS.items()}
+    bd, dq, dt = total_loss_grad(q, t, tgt, w)
+    want_bd, want_dq, want_dt = o_total_loss_grad(q, t, tgt, w, want_terms.values())
+    for name in names:
+        assert_close(getattr(bd, name), getattr(want_bd, name), ("total_loss_grad", name))
+    assert_close(dq, want_dq, "dq")
+    assert_close(dt, want_dt, "dt")
+    total_bd, *total_grads = o_total_loss_grad(q, t, tgt, terms=want_terms.values())
+    want_terms["total"] = (total_bd.total, *total_grads)
+    for term, grad in TERM_GRADS.items():
+        for got, want, part in zip(grad(q, t, tgt), want_terms[term], ("val", "dq", "dt")):
+            assert_close(got, want, (term, part))
+
+
+def random_case(rng, normalized_e):
+    gt = Pose(unit_quat(rng), rng.normal(size=3))
+    if rng.random() < 0.5:
+        tgt = PoseTarget.from_pose(gt, normalized_e)
+    else:  # E off the essential manifold
+        tgt = PoseTarget(gt.q, gt.t, rng.normal(size=(3, 3)), normalized_e)
+    q = rng.normal(size=4)
+    if rng.random() < 0.5:
+        q /= np.linalg.norm(q)
+    return q, rng.normal(size=3) * rng.uniform(0.1, 3.0), tgt
+
+
+class TestOracle:
+    def test_random_cases(self):
+        rng = np.random.default_rng(30)
+        for i in range(2000):
+            normalized_e = bool(i % 2)
+            q, t, tgt = random_case(rng, normalized_e)
+            w = (LossWeights() if i % 4 < 2 else
+                 LossWeights(*rng.uniform(0.0, 3.0, size=4).tolist()))
+            assert_matches_oracle(q, t, tgt, w)
+
+    @pytest.mark.parametrize("normalized_e", [False, True])
+    def test_perfect_prediction(self, normalized_e):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            pose = Pose(unit_quat(rng), rng.normal(size=3))
+            tgt = PoseTarget.from_pose(pose, normalized_e)
+            assert_matches_oracle(pose.q, pose.t, tgt)
+            assert_matches_oracle(-pose.q, pose.t, tgt)
+            _, dq, dt = total_loss_grad(pose.q, pose.t, tgt)
+            assert np.abs(dq).max() < 1e-6 and np.abs(dt).max() < 1e-6
+
+    def test_orthogonal_hemisphere(self):
+        tgt = PoseTarget.from_pose(Pose([1.0, 0, 0, 0], [0.2, -0.1, 0.9]))
+        for q in ([0.0, 1, 0, 0], [0.0, 0, 0, -1], [0.0, 0.6, 0, 0.8]):
+            q = np.array(q)
+            assert q @ tgt.q == 0.0
+            assert_matches_oracle(q, np.array([0.3, 0.1, 0.5]), tgt)
+
+    def test_yaw_gap_near_pi(self):
+        t = np.array([0.1, 0.4, -0.3])
+        for a, b in ((179.9, -179.9), (-179.9, 179.9), (180.0, 0.0), (90.0, -90.0)):
+            q = quat_from_axis_angle([0, 0, 1], np.deg2rad(a))
+            tgt = PoseTarget.from_pose(Pose(quat_from_axis_angle([0, 0, 1], np.deg2rad(b)), t))
+            assert_matches_oracle(q, t, tgt)
+
+    @pytest.mark.parametrize("normalized_e", [False, True])
+    def test_zero_norm_translation(self, normalized_e):
+        rng = np.random.default_rng(32)
+        tgt = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)), normalized_e)
+        assert_matches_oracle(unit_quat(rng), np.zeros(3), tgt)
+        assert total_loss(unit_quat(rng), np.zeros(3), tgt).t_dir == 1.0
+
+    def test_yaw_undefined_at_gimbal_lock(self):
+        q = quat_from_axis_angle([0, 1, 0], np.pi / 2)
+        R = quat_to_rot(q)
+        assert R[0, 0] ** 2 + R[1, 0] ** 2 < 1e-12
+        tgt = PoseTarget.from_pose(Pose(quat_from_axis_angle([0, 0, 1], 0.7), [0.5, 0, 0.5]))
+        assert_matches_oracle(q, np.array([0.4, 0.2, 0.1]), tgt)
+        _, dq, _ = TERM_GRADS["yaw"](q, np.array([0.4, 0.2, 0.1]), tgt)
+        assert np.array_equal(dq, np.zeros(4))
+
+    def test_non_unit_quaternions_rejected(self):
+        t = np.array([0.3, 0.1, 0.5])
+        good = PoseTarget.from_pose(Pose([1.0, 0, 0, 0], t))
+        bad_gt = PoseTarget(np.array([1.1, 0, 0, 0]), t, good.E)
+        with pytest.raises(ValidationError, match="predicted"):
+            total_loss(np.array([1.1, 0, 0, 0]), t, good)
+        with pytest.raises(ValidationError, match="predicted"):
+            o_total_loss(np.array([1.1, 0, 0, 0]), t, good)
+        for fn in (total_loss, total_loss_grad, o_total_loss, o_total_loss_grad):
+            with pytest.raises(ValidationError, match="ground-truth"):
+                fn(np.array([1.0, 0, 0, 0]), t, bad_gt)
+
+    def test_target_constants_derived_once(self):
+        rng = np.random.default_rng(33)
+        tgt = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)), True)
+        total_loss_grad(rng.normal(size=4), rng.normal(size=3), tgt)
+        cached = {k: tgt.__dict__[k] for k in ("q_unit", "t_norm", "t_unit", "yaw", "E_ref")}
+        total_loss(unit_quat(rng), rng.normal(size=3), tgt)
+        total_loss_grad(rng.normal(size=4), rng.normal(size=3), tgt)
+        assert all(tgt.__dict__[k] is v for k, v in cached.items())
+
+
+class TestOnePredictionState:
+    """Each total_loss/total_loss_grad call builds one prediction state,
+    evaluates each TERM_VALUES entry once and runs no SVD."""
+
+    @pytest.mark.parametrize("fn", [total_loss, total_loss_grad])
+    def test_guard(self, fn, monkeypatch):
+        from epigraph import losses
+
+        built, calls = [], []
+        state = losses.PredictionState
+        monkeypatch.setattr(losses, "PredictionState",
+                            lambda *a, **kw: built.append(1) or state(*a, **kw))
+        for term, value in list(TERM_VALUES.items()):
+            monkeypatch.setitem(TERM_VALUES, term,
+                                lambda *a, term=term, value=value, **kw:
+                                calls.append(term) or value(*a, **kw))
+
+        def no_svd(*a, **kw):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rng = np.random.default_rng(34)
+        tgt = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)))
+        fn(unit_quat(rng), rng.normal(size=3), tgt, LossWeights(0.5, 1.5, 2.0, 0.3))
+        assert len(built) == 1
+        assert calls == list(TERM_VALUES)
+
+
+class TestClosedFormSvd:
+    def test_numeric_identity_1000_predictions(self):
+        rng = np.random.default_rng(35)
+        for _ in range(1000):
+            u, t = unit_quat(rng), rng.normal(size=3)
+            assert svd_loss_matrix(skew(t) @ quat_to_rot(u)) < 1e-12
+
+    def test_term_is_exactly_zero(self):
+        rng = np.random.default_rng(36)
+        for normalized_e in (False, True):
+            tgt = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)), normalized_e)
+            for _ in range(20):
+                q, t = unit_quat(rng), rng.normal(size=3)
+                assert total_loss(q, t, tgt).svd == 0.0
+                assert total_loss_grad(rng.normal(size=4), t, tgt)[0].svd == 0.0
+                val, dq, dt = TERM_GRADS["svd"](rng.normal(size=4), t, tgt)
+                assert val == 0.0
+                assert np.array_equal(dq, np.zeros(4)) and np.array_equal(dt, np.zeros(3))

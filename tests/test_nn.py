@@ -487,9 +487,9 @@ class TestGradCheck:
         from epigraph import losses
 
         calls = []
-        quat_loss = losses.quat_loss
-        monkeypatch.setattr(losses, "quat_loss",
-                            lambda *a, **kw: calls.append(1) or quat_loss(*a, **kw))
+        total_loss = losses.total_loss
+        monkeypatch.setattr(losses, "total_loss",
+                            lambda *a, **kw: calls.append(1) or total_loss(*a, **kw))
         cfg = nn.ModelConfig((nn.LayerSpec("gcn", 6, 2),), hidden=2)
         params = nn.init_params(cfg, seed=5)
         probes = sum(t.size for t in params.tensors.values())
