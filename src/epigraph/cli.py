@@ -237,7 +237,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     usable, preds, skipped = [], [], []
     for corr, out in zip(corrs, train_mod.predict(model, corrs)):
         if isinstance(out, EpigraphError):
-            skipped.append(corr.pair_label())
+            skipped.append(f"{corr.pair_label()} ({type(out).__name__})")
             continue
         usable.append(corr)
         preds.append(Pose(out.q, out.t))
@@ -307,9 +307,10 @@ def cmd_gradcheck(presets, tolerance: float, corrupt: str | None, seed: int) -> 
     rng = np.random.default_rng(subseed(seed, "gradcheck"))
     n = 12
     feats = rng.normal(size=(n, 6))
-    edges = [(i, int(j), 1.0) for i in range(n)
-             for j in rng.choice([x for x in range(n) if x != i], 3, replace=False)]
-    from .graph import EpipolarGraph
+    dst = np.concatenate([rng.choice([x for x in range(n) if x != i], 3, replace=False)
+                          for i in range(n)])
+    from .graph import Edges, EpipolarGraph
+    edges = Edges(np.repeat(np.arange(n), 3), dst, np.ones(len(dst)))
     g = EpipolarGraph(feats, edges, np.arange(n), {"symmetrize": True})
     gtensors = nn.graph_tensors(g)
     q = rng.normal(size=4)
@@ -356,9 +357,9 @@ def cmd_bench_knn(cfg: ExperimentConfig, epochs: int | None) -> int:
             g = cache.build(corr, gp)
             n_nodes.append(g.n_nodes)
             n_edges.append(len(g.edges))
-            if g.edges:
-                w = [e[2] for e in g.edges]
-                wmin, wmax = min(wmin, min(w)), max(wmax, max(w))
+            if len(g.edges):
+                w = g.edges.weight
+                wmin, wmax = min(wmin, float(w.min())), max(wmax, float(w.max()))
 
         ckpt = os.path.join(root, f"bench_{variant}.ckpt")
         train_mod.train(_train_config(cfg, gp, epochs or cfg.train.epochs), corrs, ckpt,

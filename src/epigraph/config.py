@@ -14,8 +14,8 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from . import nn
-from .errors import ConfigError
-from .graph import GraphParams, VARIANTS
+from .errors import ConfigError, InvalidInputError
+from .graph import GraphParams
 from .losses import LossWeights
 from .synth import Intrinsics, _fmt
 
@@ -61,6 +61,10 @@ class TrainSection:
     lr: float = 1e-4
     epochs: int = 12
     split: float = 0.8
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise InvalidInputError(f"train.epochs must be >= 1, got {self.epochs!r}")
 
 
 @dataclass(frozen=True)
@@ -212,8 +216,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dataset.kind must be synthetic or files, got {cfg.dataset.kind!r}")
     if cfg.dataset.motion not in ("forward", "arc", "random-walk"):
         raise ConfigError(f"unknown motion model {cfg.dataset.motion!r}")
-    if cfg.graph.variant not in VARIANTS:
-        raise ConfigError(f"unknown graph variant {cfg.graph.variant!r}")
     if cfg.model.preset and cfg.model.layers:
         raise ConfigError("model.preset and model.layers are mutually exclusive; "
                           "clear one of them")
@@ -268,8 +270,12 @@ def parse_config(path=None, overrides=(), check_files: bool = True) -> Experimen
         convert(section, key, raw, dotted)
 
     cfg = default_config()
-    cfg = replace(cfg, **changes.pop("run"), **{
-        section: replace(getattr(cfg, section), **kv) for section, kv in changes.items()})
+    try:
+        cfg = replace(cfg, **changes.pop("run"), **{
+            section: replace(getattr(cfg, section), **kv)
+            for section, kv in changes.items()})
+    except InvalidInputError as e:  # a record refused a value
+        raise ConfigError(str(e)) from None
     _validate(cfg)
     if check_files and cfg.dataset.kind == "files":
         if not cfg.dataset.manifest:

@@ -169,15 +169,11 @@ def decompose_essential(E) -> list[Pose]:
     if np.linalg.det(Vt) < 0:
         Vt = Vt.copy()
         Vt[-1, :] *= -1
-    R1 = U @ _W @ Vt
-    R2 = U @ _W.T @ Vt
     u3 = U[:, 2]
-    return [
-        Pose(rot_to_quat(R1), u3),
-        Pose(rot_to_quat(R1), -u3),
-        Pose(rot_to_quat(R2), u3),
-        Pose(rot_to_quat(R2), -u3),
-    ]
+    # one quaternion per rotation; Pose copies it, so no array is shared
+    q1 = rot_to_quat(U @ _W @ Vt)
+    q2 = rot_to_quat(U @ _W.T @ Vt)
+    return [Pose(q1, u3), Pose(q1, -u3), Pose(q2, u3), Pose(q2, -u3)]
 
 
 def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
@@ -207,6 +203,33 @@ def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
     return out[0] if single else out
 
 
+def _cheirality_counts(candidates, X1, X2) -> list[int]:
+    """Per candidate, the number of finite triangulated points in front of
+    both cameras.
+
+    A candidate (R, -t) whose partner (R, t) was already triangulated is
+    scored from the partner's points: its DLT system is the partner's with
+    the last column negated, so its points are their negatives, and its
+    count is that of the finite points with both depths below 0.  Pairing
+    asks for exact equality of R and of -t, so the four candidates of
+    ``decompose_essential`` cost two DLT solves.
+    """
+    rotations = [cand.rotation() for cand in candidates]
+    counts: list = [None] * len(candidates)
+    for i, (cand, R) in enumerate(zip(candidates, rotations)):
+        if counts[i] is not None:
+            continue
+        X = triangulate_dlt(X1, X2, R, cand.t)
+        X = X[np.isfinite(X).all(axis=1)]
+        z1, z2 = X[:, 2], X @ R[2] + cand.t[2]
+        counts[i] = int(np.count_nonzero((z1 > 0) & (z2 > 0)))
+        for j in range(i + 1, len(candidates)):
+            if (counts[j] is None and np.array_equal(rotations[j], R)
+                    and np.array_equal(candidates[j].t, -cand.t)):
+                counts[j] = int(np.count_nonzero((z1 < 0) & (z2 < 0)))
+    return counts
+
+
 def cheirality_select(candidates, pairs) -> Pose:
     """Pick the candidate with the most triangulated points in front of
     both cameras.  Ties raise AmbiguousCheiralityError carrying the tied
@@ -214,13 +237,7 @@ def cheirality_select(candidates, pairs) -> Pose:
     X1, X2 = _as_point_arrays(pairs)
     if len(X1) < 1:
         raise InsufficientCorrespondencesError("need at least one correspondence")
-    counts = []
-    for cand in candidates:
-        R = cand.rotation()
-        X = triangulate_dlt(X1, X2, R, cand.t)
-        X = X[np.isfinite(X).all(axis=1)]
-        z2 = X @ R[2] + cand.t[2]
-        counts.append(int(np.count_nonzero((X[:, 2] > 0) & (z2 > 0))))
+    counts = _cheirality_counts(candidates, X1, X2)
     best = max(counts)
     winners = [c for c, n in zip(candidates, counts) if n == best]
     if len(winners) > 1:

@@ -37,24 +37,47 @@ class GraphParams:
     e0_iters: int = 32
     full_denominator: bool = False
 
+    def __post_init__(self):
+        # a value no graph can be built with is refused here, named as the
+        # config file and the checkpoint meta spell it
+        checks = (
+            ("variant", self.variant in VARIANTS, "one of " + ", ".join(VARIANTS)),
+            ("k", self.k >= 1, ">= 1"),
+            ("tau", self.tau > 0, "> 0"),
+            ("knn_source", self.knn_source in (1, 2), "1 or 2"),
+            ("radius", self.radius is None or self.radius > 0, "> 0 or none"),
+            ("e0_m", self.e0_m >= 8, ">= 8"),
+            ("e0_iters", self.e0_iters >= 0, ">= 0"),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise InvalidInputError(
+                    f"graph.{name} must be {want}, got {getattr(self, name)!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Edges:
+    """Directed edges src[e] -> dst[e] with weight[e] > 0, as parallel
+    (E,) arrays; ``len`` is the edge count."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
+
 
 @dataclass
 class EpipolarGraph:
     node_features: np.ndarray             # (N, 6) stacked (x1^T, x2^T)
-    edges: list[tuple[int, int, float]]   # directed (src, dst, weight > 0)
+    edges: Edges
     kept_indices: np.ndarray              # node -> original correspondence index
     meta: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_features)
-
-    def edge_arrays(self):
-        if not self.edges:
-            return (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-        src, dst, w = zip(*self.edges)
-        return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
-                np.asarray(w, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +115,7 @@ def _knn_lists(D: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_edges(coords, variant: str = "hard", k: int | None = None,
-                radius: float | None = None) -> list[tuple[int, int, float]]:
+                radius: float | None = None) -> Edges:
     """Directed neighborhood edges on point coordinates.
 
     hard:   i -> j iff j is among the k nearest neighbors of i (weight 1).
@@ -102,22 +125,21 @@ def build_edges(coords, variant: str = "hard", k: int | None = None,
     mutual: hard edges kept only when reciprocated.
 
     Ties in the k-th distance break toward the smaller index.  Fewer than
-    two points give an empty edge list; k >= N is clamped to N-1 with a
-    warning.
+    two points give no edges; k >= N is clamped to N-1 with a warning.
     """
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
     if variant not in VARIANTS:
         raise InvalidInputError(f"unknown edge variant {variant!r}")
     if n < 2:
-        return []
+        return Edges(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     D = _pairwise_distances(coords)
 
     if variant == "radius":
         if radius is None or radius <= 0:
             raise InvalidInputError("radius variant needs radius > 0")
         src, dst = np.nonzero((D < radius) & ~np.eye(n, dtype=bool))
-        return list(zip(src.tolist(), dst.tolist(), [1.0] * len(src)))
+        return Edges(src, dst, np.ones(len(src)))
 
     if k is None or k < 1:
         raise InvalidInputError("k-NN variants need k >= 1")
@@ -135,10 +157,10 @@ def build_edges(coords, variant: str = "hard", k: int | None = None,
         src, dst = src[keep], dst[keep]
     if variant == "soft":
         sigma = max(float(D[np.arange(n), nbrs[:, -1]].mean()), 1e-12)
-        w = np.exp(-D[src, dst] ** 2 / (2 * sigma ** 2)).tolist()
+        w = np.exp(-D[src, dst] ** 2 / (2 * sigma ** 2))
     else:
-        w = [1.0] * len(src)
-    return list(zip(src.tolist(), dst.tolist(), w))
+        w = np.ones(len(src))
+    return Edges(src, dst, w)
 
 
 def median_kth_distance(coords, k: int = 6) -> float:

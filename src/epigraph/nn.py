@@ -253,8 +253,7 @@ def graph_tensors(g, symmetrize: bool | None = None) -> GraphTensors:
     if symmetrize is None:
         symmetrize = bool(g.meta.get("symmetrize", True))
     A = np.zeros((g.n_nodes, g.n_nodes))
-    src, dst, w = g.edge_arrays()
-    A[src, dst] = w
+    A[g.edges.src, g.edges.dst] = g.edges.weight
     if symmetrize:
         A = np.maximum(A, A.T)
     return GraphTensors(g.node_features, A)

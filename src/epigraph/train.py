@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .config import decode, encode, format_setting, parse_setting
-from .errors import EpigraphError, SchemaVersionError, ValidationError
+from .errors import EpigraphError, InvalidInputError, SchemaVersionError, ValidationError
 from .geom import Pose
 from .graph import GraphParams, build_graph
 from .losses import LossBreakdown, LossWeights, PoseTarget, total_loss, total_loss_grad
@@ -253,7 +253,7 @@ def load_model(path) -> LoadedModel:
         return LoadedModel(params, config, graph_params_from_meta(meta),
                            weights_from_meta(meta),
                            parse_setting("bool", meta["normalized_e"], "normalized_e"))
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, InvalidInputError) as e:
         raise SchemaVersionError(f"checkpoint meta is missing or malformed: {e}") from None
 
 

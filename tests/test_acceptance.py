@@ -23,7 +23,7 @@ from epigraph.geom import (
     quat_from_axis_angle,
     sampson_distances,
 )
-from epigraph.graph import EpipolarGraph, GraphParams, build_graph, sampson_filter
+from epigraph.graph import Edges, EpipolarGraph, GraphParams, build_graph, sampson_filter
 from epigraph.losses import PoseTarget, quat_loss, svd_loss
 from epigraph.metrics import dre, dte
 from epigraph.synth import generate_scene, stress_scene
@@ -40,6 +40,14 @@ def report(name, ok, detail):
 def unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def random_edges(rng, n, degree):
+    """``degree`` distinct random out-neighbors per node, weight 1."""
+    src = np.repeat(np.arange(n), degree)
+    dst = np.array([rng.choice([x for x in range(n) if x != i], degree, replace=False)
+                    for i in range(n)], dtype=int).ravel()
+    return Edges(src, dst, np.ones(len(dst)))
 
 
 def pose_for(seed, rot_deg=6.0, tnorm=1.0):
@@ -118,9 +126,7 @@ def test_criterion_3_gradient_fidelity():
     rng = np.random.default_rng(11)
     n = 12
     feats = rng.normal(size=(n, 6))
-    edges = [(i, int(j), 1.0) for i in range(n)
-             for j in rng.choice([x for x in range(n) if x != i], 3, replace=False)]
-    g = EpipolarGraph(feats, edges, np.arange(n), {"symmetrize": True})
+    g = EpipolarGraph(feats, random_edges(rng, n, 3), np.arange(n), {"symmetrize": True})
     gtensors = nn.graph_tensors(g)
     target = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)))
 
@@ -142,8 +148,7 @@ def test_criterion_4_permutation_invariance():
     rng = np.random.default_rng(21)
     n = 20
     feats = rng.normal(size=(n, 6))
-    edges = [(i, int(j), 1.0) for i in range(n)
-             for j in rng.choice([x for x in range(n) if x != i], 4, replace=False)]
+    edges = random_edges(rng, n, 4)
     cfg = nn.preset_config("3GCN+GAT")
     params = nn.init_params(cfg, seed=2)
     g = EpipolarGraph(feats, edges, np.arange(n), {"symmetrize": True})
@@ -153,7 +158,7 @@ def test_criterion_4_permutation_invariance():
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=int)
         inv[perm] = np.arange(n)
-        pedges = [(int(inv[s]), int(inv[d]), w) for s, d, w in edges]
+        pedges = Edges(inv[edges.src], inv[edges.dst], edges.weight)
         pg = EpipolarGraph(feats[perm], pedges, np.arange(n), {"symmetrize": True})
         out, _ = nn.model_forward(nn.graph_tensors(pg), params, cfg)
         worst = max(worst,
@@ -346,14 +351,14 @@ def test_criterion_8_knn_variant_sweep(tmp_path):
     soft = build_graph(corr, params=GraphParams(variant="soft"), E0=E0)
     radius = build_graph(corr, params=GraphParams(variant="radius"), E0=E0)
 
-    hard_set = {(s, d) for s, d, _ in hard.edges}
-    mutual_ok = {(s, d) for s, d, _ in mutual.edges} <= hard_set
+    hard_set = set(zip(hard.edges.src.tolist(), hard.edges.dst.tolist()))
+    mutual_ok = set(zip(mutual.edges.src.tolist(), mutual.edges.dst.tolist())) <= hard_set
     r = radius.meta["radius"]
     coords = radius.node_features[:, :3]
     radius_ok = all(np.linalg.norm(coords[s] - coords[d]) < r
-                    for s, d, _ in radius.edges)
-    soft_ws = [w for _, _, w in soft.edges]
-    soft_ok = min(soft_ws) > 0.0 and max(soft_ws) <= 1.0
+                    for s, d in zip(radius.edges.src, radius.edges.dst))
+    soft_ws = soft.edges.weight
+    soft_ok = soft_ws.min() > 0.0 and soft_ws.max() <= 1.0
 
     ok = table_ok and mutual_ok and radius_ok and soft_ok
     report("criterion 8 (k-NN variant sweep)", ok,

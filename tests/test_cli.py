@@ -75,6 +75,12 @@ def trained_root(tmp_path_factory):
     return root
 
 
+def test_unrunnable_setting_exits_two(tmp_path, capsys):
+    assert run(["train"] + base_args(tmp_path, ["--set", "graph.knn_source=3"])) == 2
+    assert "graph.knn_source" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "checkpoint.txt")
+
+
 class TestTrain:
     def test_checkpoint_and_report_written(self, trained_root):
         assert os.path.exists(os.path.join(trained_root, "checkpoint.txt"))
@@ -121,8 +127,8 @@ class TestEval:
 
     def test_failing_baseline_pair_is_skipped_in_its_report_only(
             self, trained_root, capsys, monkeypatch):
-        from epigraph import epipolar
-        from epigraph.errors import AmbiguousCheiralityError
+        from epigraph import epipolar, train as train_mod
+        from epigraph.errors import AmbiguousCheiralityError, EmptyGraphError
 
         real = epipolar.recover_pose
         calls = []
@@ -133,7 +139,15 @@ class TestEval:
                 raise AmbiguousCheiralityError("tie in test", [])
             return real(pairs)
 
+        real_build = train_mod.build_graph
+
+        def unbuildable(corr, **kwargs):
+            if corr.pair_label() == "seq:3:4":
+                raise EmptyGraphError("no graph in test")
+            return real_build(corr, **kwargs)
+
         monkeypatch.setattr(epipolar, "recover_pose", flaky)
+        monkeypatch.setattr(train_mod, "build_graph", unbuildable)
         manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
         rc = run(["eval"] + base_args(trained_root,
                  ["--set", "dataset.kind=files",
@@ -142,13 +156,17 @@ class TestEval:
                   "--set", "eval.out_dir=out_flaky"]))
         assert rc == 0
         out = capsys.readouterr().out
+        assert "skipped 1 unbuildable pairs: seq:3:4 (EmptyGraphError)" in out
         assert "eight-point baseline failed on 1 pairs: seq:1:2 (AmbiguousCheiralityError)" in out
         out_dir = os.path.join(trained_root, "out_flaky")
         model = json.load(open(os.path.join(out_dir, "model_summary.json")))
         base = json.load(open(os.path.join(out_dir, "eightpoint_summary.json")))
+        assert model["n_pairs"] == 11 - 1
         assert base["n_pairs"] == model["n_pairs"] - 1
         rows = open(os.path.join(out_dir, "eightpoint_pairs.csv")).read()
         assert "seq:1:2" not in rows and "seq:0:1" in rows
+        assert "seq:3:4" not in rows
+        assert "seq:3:4" not in open(os.path.join(out_dir, "model_pairs.csv")).read()
 
     def test_intrinsics_mismatch_rejected(self, trained_root, capsys):
         manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
@@ -225,6 +243,16 @@ class TestCheckpointMeta:
                             lambda ln: None if ln.startswith("meta graph.") else ln)
         assert self.run_with(command, trained_root, ckpt, tmp_path) == 3
         assert "graph.k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("k", "0"), ("tau", "0"), ("knn_source", "3"), ("e0_m", "4"),
+        ("e0_iters", "-1"), ("radius", "0"), ("variant", "fuzzy")])
+    def test_unrunnable_graph_meta(self, trained_root, tmp_path, capsys, field, value):
+        prefix = f"meta graph.{field} "
+        ckpt = self.rewrite(trained_root, tmp_path,
+                            lambda ln: prefix + value if ln.startswith(prefix) else ln)
+        assert self.run_with("eval", trained_root, ckpt, tmp_path) == 3
+        assert f"graph.{field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
     def test_non_numeric_k(self, trained_root, tmp_path, capsys, command):

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import re
 
 import pytest
 
@@ -98,6 +99,34 @@ def test_unknown_names_rejected():
                 "eval.baseline=fivepoint", "dataset.motion=teleport"):
         with pytest.raises(ConfigError):
             parse_config(None, overrides=[bad])
+
+
+# values of each field that no run can use
+UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
+              "graph.knn_source=3", "graph.e0_m=4", "graph.e0_iters=-1",
+              "graph.radius=0", "train.epochs=0"]
+
+
+@pytest.mark.parametrize("override", UNRUNNABLE)
+def test_unrunnable_value_is_config_error_naming_its_field(override):
+    field = override.split("=")[0]
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        parse_config(None, overrides=[override])
+
+
+def test_edge_values_stay_valid():
+    cfg = parse_config(None, overrides=["graph.tau=inf", "graph.k=1", "graph.knn_source=2",
+                                        "graph.e0_m=8", "graph.e0_iters=0",
+                                        "graph.radius=none", "train.epochs=1"])
+    assert cfg.graph.tau == float("inf") and cfg.graph.knn_source == 2
+    assert cfg.train.epochs == 1
+
+
+def test_unrunnable_value_in_config_file(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[graph]\nknn_source = 3\n")
+    with pytest.raises(ConfigError, match=r"graph\.knn_source"):
+        parse_config(str(path))
 
 
 def test_missing_manifest_is_config_error(tmp_path):

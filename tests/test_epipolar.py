@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from epigraph import epipolar
 from epigraph.epipolar import (
+    _cheirality_counts,
     build_constraint_matrix,
     canonicalize_essential,
     cheirality_select,
@@ -20,7 +22,7 @@ from epigraph.errors import (
     InvalidInputError,
 )
 from epigraph.geom import Pose, essential_from_pose, quat_from_axis_angle, sampson_distances
-from epigraph.synth import DEFAULT_INTRINSICS, generate_scene
+from epigraph.synth import DEFAULT_INTRINSICS, generate_scene, stress_scene
 
 
 def small_pose(seed=0, rot_deg=6.0, t=(0.3, 0.1, 0.5)):
@@ -347,6 +349,114 @@ class TestTriangulateBatch:
         assert counts.count(max(counts)) == 1
         sel = cheirality_select(cands, (X1, X2))
         assert sel is cands[counts.index(max(counts))]
+
+
+def four_solve_counts(candidates, X1, X2):
+    """Cheirality counts with every candidate triangulated on its own: the
+    reference that scoring (R, -t) from the points of (R, t) must match."""
+    counts = []
+    for cand in candidates:
+        R = cand.rotation()
+        X = triangulate_dlt(X1, X2, R, cand.t)
+        X = X[np.isfinite(X).all(axis=1)]
+        z2 = X @ R[2] + cand.t[2]
+        counts.append(int(np.count_nonzero((X[:, 2] > 0) & (z2 > 0))))
+    return counts
+
+
+def assert_matches_four_solve(candidates, X1, X2):
+    """Counts, the chosen candidate (by identity) and a tie's candidate
+    list all agree with the four-solve oracle."""
+    counts = four_solve_counts(candidates, X1, X2)
+    assert _cheirality_counts(candidates, X1, X2) == counts
+    winners = [c for c, n in zip(candidates, counts) if n == max(counts)]
+    if len(winners) == 1:
+        assert cheirality_select(candidates, (X1, X2)) is winners[0]
+    else:
+        with pytest.raises(AmbiguousCheiralityError) as exc:
+            cheirality_select(candidates, (X1, X2))
+        assert len(exc.value.candidates) == len(winners)
+        assert all(a is b for a, b in zip(exc.value.candidates, winners))
+    return counts
+
+
+class TestPairedCheirality:
+    """(R, -t) scored from the points of (R, t) against the four-solve
+    oracle."""
+
+    def test_stress_scenes(self):
+        rng = np.random.default_rng(77)
+        for seed in range(10):
+            t = rng.normal(size=3)
+            pose = Pose(quat_from_axis_angle(rng.normal(size=3), np.deg2rad(5.0)),
+                        0.7 * t / np.linalg.norm(t))
+            X1, X2 = stress_scene(seed, pose, n_points=200).normalized_points()
+            for E in (essential_from_pose(pose), solve_eight_point((X1, X2))):
+                assert_matches_four_solve(decompose_essential(E), X1, X2)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_noisy_pairs_with_outliers(self, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(20):
+            pose = Pose(quat_from_axis_angle(rng.normal(size=3),
+                                             np.deg2rad(rng.uniform(1, 20))),
+                        rng.normal(size=3))
+            corr = generate_scene(1000 * seed + i, 200, (3.0, 10.0), pose,
+                                  noise_px=0.5, outlier_fraction=0.3)
+            X1, X2 = corr.normalized_points()
+            cands = decompose_essential(solve_eight_point((X1, X2)))
+            counts = assert_matches_four_solve(cands, X1, X2)
+            assert_matches_four_solve(cands[::-1], X1, X2)
+            # (R, -t) listed before (R, t)
+            swapped = [cands[1], cands[0], cands[3], cands[2]]
+            assert assert_matches_four_solve(swapped, X1, X2) == [
+                counts[1], counts[0], counts[3], counts[2]]
+
+    def test_single_point_and_ties(self):
+        pose = small_pose(23)
+        X1, X2 = scene_points(pose, seed=24, n=1)
+        cands = decompose_essential(essential_from_pose(pose))
+        assert_matches_four_solve(cands, X1, X2)
+        X1, X2 = scene_points(pose, seed=22, n=5)
+        unit = Pose(pose.q, pose.t / np.linalg.norm(pose.t))
+        flipped = Pose(unit.q, -unit.t)
+        for tied in ([unit, unit], [unit, flipped, unit, flipped],
+                     [Pose(pose.q, np.zeros(3))] * 2):
+            assert_matches_four_solve(tied, X1, X2)
+
+    def test_two_solves_per_recover_pose(self, monkeypatch):
+        calls = []
+        real = epipolar.triangulate_dlt
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(epipolar, "triangulate_dlt", counting)
+        X1, X2 = scene_points(small_pose(46), seed=47, n=50, noise=0.5)
+        recover_pose((X1, X2))
+        assert len(calls) == 2
+
+    def test_decompose_converts_each_rotation_once(self, monkeypatch):
+        E = essential_from_pose(small_pose(48))
+        before = decompose_essential(E)
+        calls = []
+        real = epipolar.rot_to_quat
+
+        def counting(R):
+            calls.append(1)
+            return real(R)
+
+        monkeypatch.setattr(epipolar, "rot_to_quat", counting)
+        after = decompose_essential(E)
+        assert len(calls) == 2
+        for a, b in zip(before, after):
+            assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+        for a in after:
+            for b in after:
+                if a is not b:
+                    assert not np.shares_memory(a.q, b.q)
+                    assert not np.shares_memory(a.t, b.t)
 
 
 def coplanar_pure_rotation(n, seed=11):

@@ -40,36 +40,41 @@ def brute_force_knn(coords, k):
     return edges
 
 
+def triples(edges):
+    """An Edges' (src, dst, weight) tuples, for set and list comparisons."""
+    return list(zip(edges.src.tolist(), edges.dst.tolist(), edges.weight.tolist()))
+
+
 class TestBuildEdges:
     collinear = np.array([[0.0, 0, 1], [1.0, 0, 1], [3.0, 0, 1]])
 
     def test_three_collinear_hard(self):
-        edges = build_edges(self.collinear, "hard", k=1)
+        edges = triples(build_edges(self.collinear, "hard", k=1))
         assert {(s, d) for s, d, _ in edges} == {(0, 1), (1, 0), (2, 1)}
         assert all(w == 1.0 for _, _, w in edges)
 
     def test_three_collinear_mutual(self):
-        edges = build_edges(self.collinear, "mutual", k=1)
+        edges = triples(build_edges(self.collinear, "mutual", k=1))
         assert {(s, d) for s, d, _ in edges} == {(0, 1), (1, 0)}
 
     def test_random_cloud_against_oracle(self):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(100, 3))
-        hard = {(s, d) for s, d, _ in build_edges(coords, "hard", k=5)}
+        hard = {(s, d) for s, d, _ in triples(build_edges(coords, "hard", k=5))}
         assert hard == brute_force_knn(coords, 5)
-        mutual = {(s, d) for s, d, _ in build_edges(coords, "mutual", k=5)}
+        mutual = {(s, d) for s, d, _ in triples(build_edges(coords, "mutual", k=5))}
         assert mutual <= hard
         assert mutual == {(s, d) for (s, d) in hard if (d, s) in hard}
         r = 0.4
-        for s, d, w in build_edges(coords, "radius", radius=r):
+        for s, d, w in triples(build_edges(coords, "radius", radius=r)):
             assert np.linalg.norm(coords[s] - coords[d]) < r
             assert w == 1.0
 
     def test_soft_weights_in_unit_interval(self):
         rng = np.random.default_rng(2)
         coords = rng.normal(size=(50, 3))
-        soft = build_edges(coords, "soft", k=6)
-        hard = {(s, d) for s, d, _ in build_edges(coords, "hard", k=6)}
+        soft = triples(build_edges(coords, "soft", k=6))
+        hard = {(s, d) for s, d, _ in triples(build_edges(coords, "hard", k=6))}
         assert {(s, d) for s, d, _ in soft} == hard
         ws = [w for _, _, w in soft]
         assert min(ws) > 0.0 and max(ws) <= 1.0
@@ -77,25 +82,27 @@ class TestBuildEdges:
     def test_k_superset_monotonicity(self):
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(40, 3))
-        e4 = {(s, d) for s, d, _ in build_edges(coords, "hard", k=4)}
-        e7 = {(s, d) for s, d, _ in build_edges(coords, "hard", k=7)}
+        e4 = {(s, d) for s, d, _ in triples(build_edges(coords, "hard", k=4))}
+        e7 = {(s, d) for s, d, _ in triples(build_edges(coords, "hard", k=7))}
         assert e4 <= e7
 
     def test_single_point_empty(self):
-        assert build_edges(np.array([[0.0, 0, 1]]), "hard", k=3) == []
+        edges = build_edges(np.array([[0.0, 0, 1]]), "hard", k=3)
+        assert len(edges) == 0 and len(edges.dst) == 0 and len(edges.weight) == 0
 
     def test_k_clamped_with_warning(self):
         coords = np.array([[0.0, 0, 1], [1.0, 0, 1], [2.0, 0, 1]])
         with pytest.warns(UserWarning, match="clamped"):
             edges = build_edges(coords, "hard", k=10)
-        assert {(s, d) for s, d, _ in edges} == brute_force_knn(coords, 2)
+        assert {(s, d) for s, d, _ in triples(edges)} == brute_force_knn(coords, 2)
 
     def test_no_self_loops(self):
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(30, 3))
         for variant, kw in (("hard", {"k": 6}), ("soft", {"k": 6}),
                             ("mutual", {"k": 6}), ("radius", {"radius": 5.0})):
-            assert all(s != d for s, d, _ in build_edges(coords, variant, **kw))
+            edges = build_edges(coords, variant, **kw)
+            assert not np.any(edges.src == edges.dst)
 
     def test_bad_arguments(self):
         coords = np.zeros((5, 3))
@@ -159,12 +166,13 @@ class TestVectorizedKnn:
         D = _pairwise_distances(coords)
         nbrs = knn_lexsort_reference(D, 5)
         hard = build_edges(coords, "hard", k=5)
-        assert hard == [(i, int(j), 1.0) for i in range(40) for j in nbrs[i]]
+        assert triples(hard) == [(i, int(j), 1.0) for i in range(40) for j in nbrs[i]]
         mutual = build_edges(coords, "mutual", k=5)
-        assert mutual == [(i, int(j), 1.0) for i in range(40) for j in nbrs[i]
-                          if i in nbrs[j]]
-        assert all(type(s) is int and type(d) is int and type(w) is float
-                   for s, d, w in hard + mutual + build_edges(coords, "soft", k=5))
+        assert triples(mutual) == [(i, int(j), 1.0) for i in range(40) for j in nbrs[i]
+                                   if i in nbrs[j]]
+        for e in (hard, mutual, build_edges(coords, "soft", k=5)):
+            assert e.src.dtype.kind == e.dst.dtype.kind == "i"
+            assert e.weight.dtype == np.float64
 
 class TestSampsonFilter:
     def test_noiseless_inliers_all_kept(self):
@@ -219,10 +227,7 @@ class TestBuildGraph:
         corr = generate_scene(14, 50, (3, 10), small_pose(14))
         g = build_graph(corr, k=6)
         assert g.n_nodes == 50
-        out_deg = np.zeros(50, dtype=int)
-        for s, _, _ in g.edges:
-            out_deg[s] += 1
-        assert np.all(out_deg == 6)
+        assert np.array_equal(np.bincount(g.edges.src, minlength=50), np.full(50, 6))
         assert np.array_equal(g.kept_indices, np.arange(50))
 
     def test_stress_preset_node_counts(self):
@@ -266,9 +271,9 @@ class TestBuildGraph:
         inv[perm] = np.arange(40)
         assert np.array_equal(np.sort(perm[h.kept_indices]), np.sort(g.kept_indices))
         mapped = {(int(perm[h.kept_indices[s]]), int(perm[h.kept_indices[d]]), w)
-                  for s, d, w in h.edges}
+                  for s, d, w in triples(h.edges)}
         orig = {(int(g.kept_indices[s]), int(g.kept_indices[d]), w)
-                for s, d, w in g.edges}
+                for s, d, w in triples(g.edges)}
         assert mapped == orig
 
     def test_metadata_recorded(self):

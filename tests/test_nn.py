@@ -9,22 +9,29 @@ from epigraph.errors import (
     ShapeError,
     StateError,
 )
-from epigraph.geom import Pose
-from epigraph.graph import EpipolarGraph
+from epigraph.geom import Pose, quat_from_axis_angle
+from epigraph.graph import Edges, EpipolarGraph, GraphParams, build_edges, build_graph
 from epigraph.losses import PoseTarget
+from epigraph.synth import generate_scene
 
 # one layer of every kind
 EVERY_KIND = (nn.LayerSpec("gcn", 6, 8), nn.LayerSpec("gat", 8, 8, heads=2),
               nn.LayerSpec("gin", 8, 8), nn.LayerSpec("linear", 8, 8))
 
 
+def random_edges(rng, n, degree):
+    """``degree`` distinct random out-neighbors per node, weight 1."""
+    src = np.repeat(np.arange(n), degree)
+    dst = np.array([rng.choice([x for x in range(n) if x != i], degree, replace=False)
+                    for i in range(n)], dtype=int).ravel()
+    return Edges(src, dst, np.ones(len(dst)))
+
+
 def random_graph(seed=0, n=10, feat_dim=6, degree=3):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, feat_dim))
-    edges = [(i, int(j), 1.0) for i in range(n)
-             for j in rng.choice([x for x in range(n) if x != i], degree,
-                                 replace=False)]
-    g = EpipolarGraph(feats, edges, np.arange(n), {"symmetrize": True})
+    g = EpipolarGraph(feats, random_edges(rng, n, degree), np.arange(n),
+                      {"symmetrize": True})
     return nn.graph_tensors(g)
 
 
@@ -32,6 +39,51 @@ def random_target(seed=0):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
     return PoseTarget.from_pose(Pose(q / np.linalg.norm(q), rng.normal(size=3)))
+
+
+def tuple_path_tensors(g, symmetrize):
+    """Reference operators built through a (src, dst, weight) tuple list:
+    the arrays go out through ``tolist`` and come back through ``zip``."""
+    edges = list(zip(g.edges.src.tolist(), g.edges.dst.tolist(),
+                     g.edges.weight.tolist()))
+    A = np.zeros((g.n_nodes, g.n_nodes))
+    if edges:
+        src, dst, w = zip(*edges)
+        A[np.asarray(src, dtype=int), np.asarray(dst, dtype=int)] = np.asarray(w, dtype=float)
+    if symmetrize:
+        A = np.maximum(A, A.T)
+    return nn.GraphTensors(g.node_features, A)
+
+
+class TestGraphTensorsFromEdgeArrays:
+    FIELDS = ("adj", "a_hat", "rows", "cols", "row_starts", "col_order", "col_starts")
+
+    def assert_bitwise(self, gt, ref):
+        for name in self.FIELDS:
+            a, b = getattr(gt, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("variant", ["hard", "soft", "radius", "mutual"])
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_built_graphs_match_tuple_path(self, variant, symmetrize):
+        rng = np.random.default_rng(31)
+        pose = Pose(quat_from_axis_angle(rng.normal(size=3), 0.1), [0.3, 0.1, 0.5])
+        corr = generate_scene(32, 120, (3.0, 10.0), pose, noise_px=0.5,
+                              outlier_fraction=0.3)
+        g = build_graph(corr, params=GraphParams(variant=variant, symmetrize=symmetrize))
+        assert len(g.edges) == len(g.edges.src) == len(g.edges.dst) == len(g.edges.weight)
+        assert len(g.edges) > 0
+        self.assert_bitwise(nn.graph_tensors(g), tuple_path_tensors(g, symmetrize))
+
+    def test_fewer_than_two_nodes(self):
+        feats = np.random.default_rng(33).normal(size=(1, 6))
+        g = EpipolarGraph(feats, build_edges(feats[:, :3], "hard", k=6), np.arange(1),
+                          {"symmetrize": True})
+        assert len(g.edges) == 0
+        self.assert_bitwise(nn.graph_tensors(g), tuple_path_tensors(g, True))
+        empty = EpipolarGraph(np.zeros((0, 6)), g.edges, np.arange(0), {})
+        with pytest.raises(EmptyGraphError):
+            nn.graph_tensors(empty)
 
 
 class TestGCN:
@@ -179,14 +231,14 @@ class TestGAT:
         n, heads = case["n"], case["heads"]
         rng = np.random.default_rng(n + 7 * heads)
         feats = rng.normal(size=(n, 5))
-        edges = [] if n == 1 else [
-            (i, int(j), float(rng.uniform(0.1, 1.0)) if case.get("weighted") else 1.0)
-            for i in range(n)
-            for j in rng.choice([x for x in range(n) if x != i], min(6, n - 1),
-                                replace=False)]
+        edges = random_edges(rng, n, min(6, n - 1))
+        src, dst, w = edges.src, edges.dst, edges.weight
+        if case.get("weighted"):
+            w = rng.uniform(0.1, 1.0, size=len(src))
         if case.get("isolated"):
-            edges = [(s, d, w) for s, d, w in edges if 0 not in (s, d)]
-        g = EpipolarGraph(feats, edges, np.arange(n),
+            keep = (src != 0) & (dst != 0)
+            src, dst, w = src[keep], dst[keep], w[keep]
+        g = EpipolarGraph(feats, Edges(src, dst, w), np.arange(n),
                           {"symmetrize": case.get("symmetrize", True)})
         gt = nn.graph_tensors(g)
         if case.get("symmetrize") is False:
@@ -310,9 +362,7 @@ class TestModelForward:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(15)
         feats = rng.normal(size=(12, 6))
-        edges = [(i, int(j), 1.0) for i in range(12)
-                 for j in rng.choice([x for x in range(12) if x != i], 3,
-                                     replace=False)]
+        edges = random_edges(rng, 12, 3)
         for preset in nn.PRESET_NAMES:
             cfg = nn.preset_config(preset)
             params = nn.init_params(cfg, seed=1)
@@ -321,7 +371,7 @@ class TestModelForward:
             perm = rng.permutation(12)
             inv = np.empty(12, dtype=int)
             inv[perm] = np.arange(12)
-            pedges = [(int(inv[s]), int(inv[d]), w) for s, d, w in edges]
+            pedges = Edges(inv[edges.src], inv[edges.dst], edges.weight)
             pg = EpipolarGraph(feats[perm], pedges, np.arange(12),
                                {"symmetrize": True})
             pout, _ = nn.model_forward(nn.graph_tensors(pg), params, cfg)
