@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -43,6 +44,11 @@ class DatasetSection:
     manifest: str = ""
     check_intrinsics: bool = False     # verify file headers against fx/fy/cx/cy
 
+    def __post_init__(self):
+        # the eight-point solve and every E0 draw need at least 8 matches
+        if self.n_points < 8:
+            raise InvalidInputError(f"dataset.n_points must be >= 8, got {self.n_points!r}")
+
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
 
@@ -65,13 +71,14 @@ class TrainSection:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidInputError(f"train.epochs must be >= 1, got {self.epochs!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidInputError(f"train.lr must be finite and > 0, got {self.lr!r}")
 
 
 @dataclass(frozen=True)
 class LossSection:
     lambda_pose: float = 1.0
     lambda_frob: float = 1.0
-    lambda_svd: float = 1.0
     lambda_yaw: float = 1.0
     normalized_e: bool = False
 
@@ -231,6 +238,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not (0.0 < cfg.train.split < 1.0):
         raise ConfigError("train.split must lie strictly between 0 and 1")
     cfg.model_config()  # surfaces bad layer strings and dim chains
+    cfg.weights()  # surfaces negative and non-finite loss weights
 
 
 def parse_config(path=None, overrides=(), check_files: bool = True) -> ExperimentConfig:
@@ -274,9 +282,9 @@ def parse_config(path=None, overrides=(), check_files: bool = True) -> Experimen
         cfg = replace(cfg, **changes.pop("run"), **{
             section: replace(getattr(cfg, section), **kv)
             for section, kv in changes.items()})
+        _validate(cfg)
     except InvalidInputError as e:  # a record refused a value
         raise ConfigError(str(e)) from None
-    _validate(cfg)
     if check_files and cfg.dataset.kind == "files":
         if not cfg.dataset.manifest:
             raise ConfigError("dataset.kind=files requires dataset.manifest")

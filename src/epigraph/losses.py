@@ -1,18 +1,17 @@
 """Geometry-coupled composite training objective.
 
-Terms: hemisphere-aligned quaternion distance, translation direction
+Five terms: hemisphere-aligned quaternion distance, translation direction
 (1 - cosine) and scale (absolute norm gap), Frobenius alignment of the
-reconstructed essential matrix E = [t]x R, its spectral regularizer
-(s1 - s2)^2 + s3^2, and the heading (yaw) gap.  Total is the
-lambda-weighted sum with L_pose = L_quat + L_t_dir + L_t_scale.
+reconstructed essential matrix E = [t]x R, and the heading (yaw) gap.
+Total is the lambda-weighted sum with L_pose = L_quat + L_t_dir + L_t_scale.
 
-The spectral regularizer is identically 0: [t]x R has singular values
-(|t|, |t|, 0) for every rotation R (Hartley & Zisserman, *Multiple View
-Geometry*, 9.6), so the term and its gradient are exact zeros, and
-``svd_loss`` keeps the numeric SVD only as a check of the identity.
-Found with this: the paper's term (iii) compares the estimated with the
-ground-truth singular values, which this term does not; changing the
-objective is out of scope here.
+The paper's loss has a further term, the difference between the singular
+values of the estimated and the ground-truth essential matrix.  It adds
+nothing here: [t]x R has singular values (|t|, |t|, 0) for every rotation
+R (Hartley & Zisserman, *Multiple View Geometry*, 9.6), and every target
+is built as [t]x R.  Under an L2 norm that difference is sqrt(2) times
+the t_scale term, and under normalized_e both sets are (1/sqrt(2),
+1/sqrt(2), 0), so it is 0.
 
 Each total_loss/total_loss_grad call builds one PredictionState that
 every term reads; a PoseTarget derives its constants once.  Gradients
@@ -48,13 +47,14 @@ _UNIT_TOL = 1e-6
 class LossWeights:
     lambda_pose: float = 1.0
     lambda_frob: float = 1.0
-    lambda_svd: float = 1.0
     lambda_yaw: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise InvalidInputError(f"{f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"loss.{f.name} must be finite and nonnegative, "
+                                        f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class LossBreakdown:
     t_dir: float
     t_scale: float
     frob: float
-    svd: float
     yaw: float
     total: float
 
@@ -166,16 +165,11 @@ class PredictionState:
 # (value, dL/du, dL/dt); the caller chains dL/du through u = q/|q|.
 # ---------------------------------------------------------------------------
 
-def _quat(p: PredictionState, g: PoseTarget, grad: bool = False, norm: str = "l2"):
+def _quat(p: PredictionState, g: PoseTarget, grad: bool = False):
     """Distance after flipping u onto the hemisphere of q_gt."""
-    if norm not in ("l1", "l2"):
-        raise InvalidInputError(f"unknown norm {norm!r}")
     qg = g.q_unit
     s = 1.0 if p.u @ qg >= 0 else -1.0
     d = s * p.u - qg
-    if norm == "l1":
-        val = float(np.abs(d).sum())
-        return (val, s * np.sign(d), np.zeros(3)) if grad else val
     val = _norm(d)
     if not grad:
         return val
@@ -231,11 +225,6 @@ def _frob(p: PredictionState, g: PoseTarget, grad: bool = False):
     return val, du, dt
 
 
-def _svd(p: PredictionState, g: PoseTarget, grad: bool = False):
-    """Spectral regularizer of [t]x R: identically 0 (module docstring)."""
-    return (0.0, np.zeros(4), np.zeros(3)) if grad else 0.0
-
-
 def _yaw(p: PredictionState, g: PoseTarget, grad: bool = False):
     """|wrapped yaw gap| in [0, pi]."""
     a, b = p.R[0, 0], p.R[1, 0]     # yaw = atan2(b, a)
@@ -248,83 +237,6 @@ def _yaw(p: PredictionState, g: PoseTarget, grad: bool = False):
         return val, np.zeros(4), np.zeros(3)
     dyaw = (a * p.J[:, 1, 0] - b * p.J[:, 0, 0]) / den
     return val, np.sign(diff) * dyaw, np.zeros(3)
-
-
-# ---------------------------------------------------------------------------
-# Public per-term functions: adapters over the terms above.  Arguments a
-# term does not read are filled with placeholders.
-# ---------------------------------------------------------------------------
-
-_NO_Q = np.array([1.0, 0.0, 0.0, 0.0])
-_NO_T = np.zeros(3)
-
-
-def _grad(term, q_pred, t_pred, target: PoseTarget, **kw):
-    """(value, dL/dq_raw, dL/dt) of one term."""
-    p = PredictionState(q_pred, t_pred, grad=True)
-    val, du, dt = term(p, target, True, **kw)
-    return val, p.chain(du), dt
-
-
-def quat_loss(q_pred, q_gt, norm: str = "l2") -> float:
-    """Distance after flipping q_pred onto the hemisphere of q_gt."""
-    return _quat(PredictionState(q_pred, _NO_T).check_unit(), PoseTarget(q_gt, None, None),
-                 norm=norm)
-
-
-def quat_loss_grad(q_pred, q_gt, norm: str = "l2"):
-    return _grad(_quat, q_pred, _NO_T, PoseTarget(q_gt, None, None), norm=norm)
-
-
-def t_dir_loss(t_pred, t_gt) -> float:
-    """1 - cos angle; a zero-norm prediction counts as orthogonal (loss 1)."""
-    return _t_dir(PredictionState(_NO_Q, t_pred), PoseTarget(None, t_gt, None))
-
-
-def t_dir_loss_grad(t_pred, t_gt):
-    return _grad(_t_dir, _NO_Q, t_pred, PoseTarget(None, t_gt, None))
-
-
-def t_scale_loss(t_pred, t_gt) -> float:
-    """| |t_pred| - |t_gt| |."""
-    return _t_scale(PredictionState(_NO_Q, t_pred), PoseTarget(None, t_gt, None))
-
-
-def t_scale_loss_grad(t_pred, t_gt):
-    return _grad(_t_scale, _NO_Q, t_pred, PoseTarget(None, t_gt, None))
-
-
-def frob_loss(q_pred, t_pred, E_gt, normalized: bool = False) -> float:
-    """Frobenius gap between [t_pred]x R(q_pred) and E_gt.
-
-    ``normalized`` compares unit-Frobenius versions of both matrices
-    (scale-free variant)."""
-    return _frob(PredictionState(q_pred, t_pred), PoseTarget(None, None, E_gt, normalized))
-
-
-def frob_loss_grad(q_pred, t_pred, E_gt, normalized: bool = False):
-    return _grad(_frob, q_pred, t_pred, PoseTarget(None, None, E_gt, normalized))
-
-
-def svd_loss_matrix(E) -> float:
-    """(s1 - s2)^2 + s3^2 of any 3x3 matrix (test hook)."""
-    S = np.linalg.svd(np.asarray(E, dtype=float), compute_uv=False)
-    return float((S[0] - S[1]) ** 2 + S[2] ** 2)
-
-
-def svd_loss(q_pred, t_pred) -> float:
-    """Numeric spectral regularizer of [t_pred]x R(q_pred): a check of
-    the identity that makes the training term exactly 0."""
-    return svd_loss_matrix(PredictionState(q_pred, t_pred).E)
-
-
-def yaw_loss(q_pred, q_gt) -> float:
-    """|wrapped yaw gap| in [0, pi]."""
-    return _yaw(PredictionState(q_pred, _NO_T).check_unit(), PoseTarget(q_gt, None, None))
-
-
-def yaw_loss_grad(q_pred, q_gt):
-    return _grad(_yaw, q_pred, _NO_T, PoseTarget(q_gt, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +253,16 @@ TERM_VALUES = {
     "t_dir": _t_dir,
     "t_scale": _t_scale,
     "frob": _frob,
-    "svd": _svd,
     "yaw": _yaw,
 }
+
+
+def _grad(term, q_pred, t_pred, target: PoseTarget):
+    """(value, dL/dq_raw, dL/dt) of one term."""
+    p = PredictionState(q_pred, t_pred, grad=True)
+    val, du, dt = term(p, target, True)
+    return val, p.chain(du), dt
+
 
 TERM_GRADS = {
     **{term: (lambda q, t, tgt, term=term: _grad(TERM_VALUES[term], q, t, tgt))
@@ -352,10 +271,10 @@ TERM_GRADS = {
 }
 
 
-def _weighted(w: LossWeights, quat, t_dir, t_scale, frob, svd, yaw):
+def _weighted(w: LossWeights, quat, t_dir, t_scale, frob, yaw):
     """The lambda-weighted sum of per-term values or gradients."""
     return (w.lambda_pose * (quat + t_dir + t_scale) + w.lambda_frob * frob
-            + w.lambda_svd * svd + w.lambda_yaw * yaw)
+            + w.lambda_yaw * yaw)
 
 
 def total_loss(q_pred, t_pred, target: PoseTarget,

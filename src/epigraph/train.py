@@ -10,6 +10,7 @@ sweep share.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import astuple, dataclass, field, fields
 
@@ -294,11 +295,20 @@ def evaluate(checkpoint_path, dataset,
 REPORT_HEADER = "# epigraph-train-report v1"
 
 
+def _report_values(mean: LossBreakdown, n: int) -> str:
+    # v1 keeps the deleted spectral term's column between frob and yaw:
+    # benchmarks/workloads.py reads the val total by position, as token 17.
+    # It holds the 0.0 it always held, or nan like its neighbours when no
+    # graph was built.
+    vals = astuple(mean)
+    return " ".join(_fmt(v) for v in (*vals[:4], 0.0 if n else math.nan, *vals[4:]))
+
+
 def write_report(report: TrainReport, path) -> None:
     lines = [REPORT_HEADER, f"epochs {len(report.epochs)}"]
     for s in report.epochs:
-        tr = " ".join(_fmt(v) for v in astuple(s.train_mean))
-        vl = " ".join(_fmt(v) for v in astuple(s.val_mean))
+        tr = _report_values(s.train_mean, s.processed)
+        vl = _report_values(s.val_mean, s.val_processed)
         lines.append(f"epoch {s.epoch} train {tr} val {vl} "
                      f"processed {s.processed} skipped {s.skipped} "
                      f"val_processed {s.val_processed} val_skipped {s.val_skipped}")

@@ -81,6 +81,16 @@ def test_unrunnable_setting_exits_two(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "checkpoint.txt")
 
 
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_retired_lambda_svd_setting_exits_two(tmp_path, capsys, source):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[loss]\nlambda_svd = 1\n")
+    extra = (["--set", "loss.lambda_svd=1"] if source == "set"
+             else ["--config", str(ini)])
+    assert run(["train"] + base_args(tmp_path, extra)) == 2
+    assert "lambda_svd" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_checkpoint_and_report_written(self, trained_root):
         assert os.path.exists(os.path.join(trained_root, "checkpoint.txt"))
@@ -220,8 +230,8 @@ class TestExportEmbeddings:
 
 
 class TestCheckpointMeta:
-    """A checkpoint whose graph meta is missing or malformed ends in
-    SchemaVersionError, exit 3, for every command that reads it."""
+    """A checkpoint whose graph or loss-weight meta is missing or malformed
+    ends in SchemaVersionError, exit 3, for every command that reads it."""
 
     def rewrite(self, trained_root, tmp_path, keep_line):
         lines = open(os.path.join(trained_root, "checkpoint.txt")).read().splitlines()
@@ -253,6 +263,32 @@ class TestCheckpointMeta:
                             lambda ln: prefix + value if ln.startswith(prefix) else ln)
         assert self.run_with("eval", trained_root, ckpt, tmp_path) == 3
         assert f"graph.{field}" in capsys.readouterr().err
+
+    def test_non_finite_loss_weight(self, trained_root, tmp_path, capsys):
+        ckpt = self.rewrite(trained_root, tmp_path,
+                            lambda ln: "meta lambda_pose nan"
+                            if ln.startswith("meta lambda_pose ") else ln)
+        assert self.run_with("eval", trained_root, ckpt, tmp_path) == 3
+        assert "lambda_pose" in capsys.readouterr().err
+
+    def test_pre_change_lambda_svd_meta_is_ignored(self, trained_root, tmp_path):
+        """Checkpoints written while the spectral term existed carry a
+        ``meta lambda_svd`` line; it never had an effect and is skipped."""
+        ckpt = self.rewrite(trained_root, tmp_path,
+                            lambda ln: ln + "\nmeta lambda_svd 1.0"
+                            if ln.startswith("meta lambda_frob ") else ln)
+        assert "meta lambda_svd 1.0" in open(ckpt).read()
+        manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
+        outputs = []
+        for name, path in (("fresh", os.path.join(trained_root, "checkpoint.txt")),
+                           ("old_meta", ckpt)):
+            out_dir = f"out_svd_meta_{name}"
+            assert run(["eval"] + base_args(trained_root, [
+                "--set", "dataset.kind=files", "--set", f"dataset.manifest={manifest}",
+                "--set", "eval.baseline=eightpoint", "--set", f"eval.out_dir={out_dir}",
+                "--checkpoint", path])) == 0
+            outputs.append(dir_snapshot(os.path.join(trained_root, out_dir)))
+        assert outputs[0] and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
     def test_non_numeric_k(self, trained_root, tmp_path, capsys, command):

@@ -3,9 +3,20 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epigraph.config import ExperimentConfig, default_config, parse_config, serialize_config
+from epigraph.config import (
+    ExperimentConfig,
+    decode,
+    default_config,
+    encode,
+    parse_config,
+    serialize_config,
+)
 from epigraph.errors import ConfigError
+from epigraph.graph import VARIANTS, GraphParams
+from epigraph.losses import LossWeights
 
 
 def test_defaults_match_training_protocol():
@@ -104,7 +115,10 @@ def test_unknown_names_rejected():
 # values of each field that no run can use
 UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
               "graph.knn_source=3", "graph.e0_m=4", "graph.e0_iters=-1",
-              "graph.radius=0", "train.epochs=0"]
+              "graph.radius=0", "train.epochs=0",
+              "train.lr=0", "train.lr=-1", "train.lr=nan", "train.lr=inf",
+              "loss.lambda_pose=nan", "loss.lambda_frob=inf", "loss.lambda_yaw=-1",
+              "dataset.n_points=7"]
 
 
 @pytest.mark.parametrize("override", UNRUNNABLE)
@@ -117,9 +131,12 @@ def test_unrunnable_value_is_config_error_naming_its_field(override):
 def test_edge_values_stay_valid():
     cfg = parse_config(None, overrides=["graph.tau=inf", "graph.k=1", "graph.knn_source=2",
                                         "graph.e0_m=8", "graph.e0_iters=0",
-                                        "graph.radius=none", "train.epochs=1"])
+                                        "graph.radius=none", "train.epochs=1",
+                                        "train.lr=1e-300", "loss.lambda_pose=0",
+                                        "dataset.n_points=8"])
     assert cfg.graph.tau == float("inf") and cfg.graph.knn_source == 2
-    assert cfg.train.epochs == 1
+    assert cfg.train.epochs == 1 and cfg.train.lr == 1e-300
+    assert cfg.weights().lambda_pose == 0.0 and cfg.dataset.n_points == 8
 
 
 def test_unrunnable_value_in_config_file(tmp_path):
@@ -147,3 +164,26 @@ def test_bad_layer_spec():
     with pytest.raises(ConfigError):
         parse_config(None, overrides=["model.preset=",
                                       "model.layers=warp:6:32"])
+
+
+finite_weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+
+graph_params = st.builds(
+    GraphParams, k=st.integers(1, 2 ** 40), tau=positive,
+    variant=st.sampled_from(VARIANTS), symmetrize=st.booleans(),
+    knn_source=st.sampled_from((1, 2)), radius=st.none() | positive,
+    e0_seed=st.integers(-2 ** 70, 2 ** 70), e0_m=st.integers(8, 2 ** 40),
+    e0_iters=st.integers(0, 2 ** 40), full_denominator=st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(LossWeights, lambda_pose=finite_weights | st.just(-0.0),
+                 lambda_frob=finite_weights, lambda_yaw=finite_weights | st.just(5e-324)),
+       graph_params)
+def test_encode_decode_round_trip(weights, gp):
+    for record, prefix in ((weights, ""), (gp, "graph.")):
+        text = encode(record, prefix)
+        back = decode(type(record), text, prefix)
+        assert back == record
+        assert encode(back, prefix) == text  # also keeps the sign of -0.0

@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epigraph import nn
 from epigraph.errors import (
@@ -10,9 +16,10 @@ from epigraph.errors import (
     StateError,
 )
 from epigraph.geom import Pose, quat_from_axis_angle
-from epigraph.graph import Edges, EpipolarGraph, GraphParams, build_edges, build_graph
-from epigraph.losses import PoseTarget
+from epigraph.graph import VARIANTS, Edges, EpipolarGraph, GraphParams, build_edges, build_graph
+from epigraph.losses import LossWeights, PoseTarget
 from epigraph.synth import generate_scene
+from epigraph.train import TrainConfig, _ckpt_meta, graph_params_from_meta, weights_from_meta
 
 # one layer of every kind
 EVERY_KIND = (nn.LayerSpec("gcn", 6, 8), nn.LayerSpec("gat", 8, 8, heads=2),
@@ -620,6 +627,52 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="head_t.W has shape"):
             nn.load_checkpoint(path)
+
+
+# float64 values that a text format can get wrong: the sign of zero,
+# subnormals and the ends of the range
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
+               1.7976931348623157e308)
+any_float = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+finite_weight = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from(nn.PRESET_NAMES), st.integers(0, 2 ** 62),
+       st.builds(LossWeights, lambda_pose=finite_weight, lambda_frob=finite_weight,
+                 lambda_yaw=finite_weight),
+       st.builds(GraphParams, k=st.integers(1, 2 ** 40), tau=positive,
+                 variant=st.sampled_from(VARIANTS), radius=st.none() | positive,
+                 e0_seed=st.integers(-2 ** 70, 2 ** 70)),
+       st.booleans(), st.integers(1, 10 ** 6), any_float)
+def test_checkpoint_round_trip_is_bitwise(data, preset, step, weights, gp, normalized_e,
+                                          epoch, val_total):
+    cfg = nn.preset_config(preset, hidden=4)
+    params = nn.init_params(cfg)
+    for store in (params.tensors, params.m, params.v):
+        for name, ref in list(store.items()):
+            store[name] = data.draw(arrays(np.float64, ref.shape, elements=any_float))
+    params.step = step
+    meta = _ckpt_meta(TrainConfig(cfg, graph=gp, weights=weights,
+                                  normalized_e=normalized_e), epoch, val_total)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ckpt")
+        nn.save_checkpoint(path, params, cfg, meta)
+        back, cfg2, meta2 = nn.load_checkpoint(path)
+    assert cfg2 == cfg and back.step == step
+    assert meta2 == {k: str(v) for k, v in meta.items()}
+    assert weights_from_meta(meta2) == weights and graph_params_from_meta(meta2) == gp
+    for store, store2 in ((params.tensors, back.tensors), (params.m, back.m),
+                          (params.v, back.v)):
+        assert list(store2) == list(store)
+        for name in store:
+            assert np.array_equal(bits(store2[name]), bits(store[name])), name
+
 
 class TestConfigObjects:
     def test_preset_shapes(self):

@@ -14,6 +14,7 @@ from epigraph.graph import GraphParams
 from epigraph.losses import LossWeights
 from epigraph.synth import CorrespondenceSet, generate_scene
 from epigraph.train import (
+    EpochStats,
     TrainConfig,
     evaluate,
     graph_params_from_meta,
@@ -22,6 +23,7 @@ from epigraph.train import (
     split_dataset,
     train,
     weights_from_meta,
+    _mean_breakdown,
     write_report,
 )
 
@@ -195,7 +197,7 @@ class TestEvaluate:
 
     def test_meta_round_trip_helpers(self, tmp_path):
         default = GraphParams()
-        weights = LossWeights(0.5, 1.5, 2.0, 0.0)
+        weights = LossWeights(0.5, 1.5, 0.0)
         data = tiny_dataset(6, seed=700)
         for radius in (None, 0.25):
             gp = GraphParams(k=4, tau=2e-4, variant="soft", symmetrize=False,
@@ -247,3 +249,28 @@ def test_write_report_deterministic(tmp_path):
     text = open(tmp_path / "r1.txt").read()
     assert text.startswith("# epigraph-train-report v1")
     assert f"best_epoch {report.best_epoch}" in text
+
+
+def test_report_layout_the_benchmark_reads(tmp_path):
+    """v1 layout: ``epoch <n> train <7 values> val <7 values>`` then four
+    counts.  The benchmark reads the val total as token 17 and the counts
+    as the last 8 tokens; the fifth value of each split is the retired
+    spectral column, 0.0, or nan like the rest when no graph was built."""
+    data = tiny_dataset(6, seed=1100)
+    report = train(tiny_config(epochs=2, seed=11), data, tmp_path / "n.txt")
+    # an epoch whose validation split built no graph
+    report.epochs.append(EpochStats(3, report.epochs[-1].train_mean, _mean_breakdown([]),
+                                    4, 0, 0, 1))
+    write_report(report, tmp_path / "r.txt")
+    lines = [ln.split() for ln in open(tmp_path / "r.txt") if ln.startswith("epoch ")]
+    assert len(lines) == len(report.epochs)
+    for tok, s in zip(lines, report.epochs):
+        assert tok[:3] == ["epoch", str(s.epoch), "train"] and tok[10] == "val"
+        assert len(tok) == 3 + 7 + 1 + 7 + 8
+        assert float(tok[9]) == s.train_mean.total and tok[7] == "0.0"
+        counts = {k: int(v) for k, v in zip(tok[-8::2], tok[-7::2])}
+        assert counts == {"processed": s.processed, "skipped": s.skipped,
+                          "val_processed": s.val_processed, "val_skipped": s.val_skipped}
+    for tok, s in zip(lines[:-1], report.epochs):
+        assert float(tok[17]) == s.val_mean.total and tok[15] == "0.0"
+    assert lines[-1][11:18] == ["nan"] * 7
