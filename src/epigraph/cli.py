@@ -311,8 +311,7 @@ def cmd_gradcheck(presets, tolerance: float, corrupt: str | None, seed: int) -> 
                           for i in range(n)])
     from .graph import Edges, EpipolarGraph
     edges = Edges(np.repeat(np.arange(n), 3), dst, np.ones(len(dst)))
-    g = EpipolarGraph(feats, edges, np.arange(n), {"symmetrize": True})
-    gtensors = nn.graph_tensors(g)
+    gtensors = nn.graph_tensors(EpipolarGraph(feats, edges, np.arange(n)))
     q = rng.normal(size=4)
     gt_pose = Pose(q / np.linalg.norm(q), rng.normal(size=3))
     target = PoseTarget.from_pose(gt_pose)

@@ -45,9 +45,17 @@ class DatasetSection:
     check_intrinsics: bool = False     # verify file headers against fx/fy/cx/cy
 
     def __post_init__(self):
+        # dataset files split their records on whitespace and cannot hold a surrogate
+        if not self.sequence or " " in self.sequence or not self.sequence.isprintable():
+            raise InvalidInputError(f"dataset.sequence must be printable, nonempty and "
+                                    f"without whitespace, got {self.sequence!r}")
         # the eight-point solve and every E0 draw need at least 8 matches
         if self.n_points < 8:
             raise InvalidInputError(f"dataset.n_points must be >= 8, got {self.n_points!r}")
+        # the generator adds noise only when noise_px > 0
+        if not (math.isfinite(self.noise_px) and self.noise_px >= 0):
+            raise InvalidInputError(
+                f"dataset.noise_px must be finite and >= 0, got {self.noise_px!r}")
 
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
@@ -71,6 +79,8 @@ class TrainSection:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidInputError(f"train.epochs must be >= 1, got {self.epochs!r}")
+        if self.batch_size < 1:
+            raise InvalidInputError(f"train.batch_size must be >= 1, got {self.batch_size!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError(f"train.lr must be finite and > 0, got {self.lr!r}")
 

@@ -26,13 +26,9 @@ _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _as_point_arrays(pairs):
-    """Pairs of normalized points -> two (N, 3) arrays."""
-    if isinstance(pairs, tuple) and len(pairs) == 2:
-        X1, X2 = pairs
-        return np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
-    X1 = np.asarray([p[0] for p in pairs], dtype=float)
-    X2 = np.asarray([p[1] for p in pairs], dtype=float)
-    return X1.reshape(-1, 3), X2.reshape(-1, 3)
+    """An (X1, X2) tuple of normalized points -> two float arrays."""
+    X1, X2 = pairs
+    return np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
 
 
 def _frobenius(M) -> np.ndarray:
@@ -61,8 +57,8 @@ def canonicalize_essential(E) -> np.ndarray:
 def build_constraint_matrix(pairs) -> np.ndarray:
     """N x 9 matrix A with A @ vec(E) = [x2_i^T E x1_i]_i (row-major vec).
 
-    ``pairs`` may also be a tuple of two (S, m, 3) arrays, giving the
-    (S, m, 9) stack of the S subsets' matrices.
+    ``pairs`` is a tuple of two (N, 3) arrays, or of two (S, m, 3) arrays,
+    giving the (S, m, 9) stack of the S subsets' matrices.
     """
     X1, X2 = _as_point_arrays(pairs)
     n = X1.shape[-2]
@@ -112,8 +108,8 @@ def solve_eight_point(pairs):
     conditioning safeguard.  The result is projected to the essential
     manifold and canonicalized (unit Frobenius norm, fixed sign).
 
-    ``pairs`` is one set of N >= 8 pairs, returning E (3, 3); an
-    unsolvable set raises DegenerateGeometryError.  It may instead be a
+    ``pairs`` is a tuple of two (N, 3) arrays, N >= 8, returning E (3, 3);
+    an unsolvable set raises DegenerateGeometryError.  It may instead be a
     tuple of two (S, m, 3) arrays, S subsets of m >= 8 pairs each, solved
     in one batched SVD: the result is then ``(E, ok)``, E (S, 3, 3) and
     ok an (S,) mask of the solvable subsets, whose E equals the single

@@ -215,9 +215,9 @@ def essential_from_pose(pose: Pose) -> np.ndarray:
     return skew(pose.t) @ pose.rotation()
 
 
-def sampson_distances(X1, X2, E, full_denominator: bool = False) -> np.ndarray:
-    """Vectorized Sampson distances; degenerate denominators map to +inf
-    (0 when the residual is exactly 0 as well).
+def sampson_distances(X1, X2, E) -> np.ndarray:
+    """Vectorized Sampson distances (Hartley & Zisserman, MVG, 11.4.3);
+    degenerate denominators map to +inf (0 when the residual is exactly 0 too).
 
     ``E`` is one (3, 3) matrix, giving (N,) distances, or a (S, 3, 3)
     stack, giving (S, N): every point pair under every matrix.
@@ -228,11 +228,7 @@ def sampson_distances(X1, X2, E, full_denominator: bool = False) -> np.ndarray:
     Ex1 = X1 @ np.swapaxes(E, -1, -2)
     Etx2 = X2 @ E
     r2 = np.einsum("...ij,...ij->...i", X2, Ex1) ** 2
-    if full_denominator:
-        den = (np.einsum("...ij,...ij->...i", Ex1, Ex1)
-               + np.einsum("...ij,...ij->...i", Etx2, Etx2))
-    else:
-        den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
+    den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
     bad = den < 1e-18
     return np.where(bad, np.where(r2 == 0.0, 0.0, np.inf),
                     r2 / np.where(bad, 1.0, den))

@@ -4,8 +4,8 @@ Nodes carry the stacked 6-D normalized match coordinates; edges come from
 a spatial k-NN (four variants) on the first-image points, pruned by the
 Sampson distance against an initial essential estimate E0.
 
-Edges are stored directed (dst in the neighborhood of src); a
-symmetrization flag, default ON, adds reverse edges at propagation time.
+Edges are stored directed (dst in the neighborhood of src);
+``nn.graph_tensors`` adds the reverse edges, as closeness is undirected.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ class GraphParams:
     k: int = 6
     tau: float = 1e-4
     variant: str = "hard"
-    symmetrize: bool = True
-    knn_source: int = 1          # build neighborhoods from image 1 or 2
     radius: float | None = None  # radius variant only; None = auto
-    e0_seed: int = 0
     e0_m: int = 16
     e0_iters: int = 32
-    full_denominator: bool = False
 
     def __post_init__(self):
         # a value no graph can be built with is refused here, named as the
@@ -44,7 +40,6 @@ class GraphParams:
             ("variant", self.variant in VARIANTS, "one of " + ", ".join(VARIANTS)),
             ("k", self.k >= 1, ">= 1"),
             ("tau", self.tau > 0, "> 0"),
-            ("knn_source", self.knn_source in (1, 2), "1 or 2"),
             ("radius", self.radius is None or self.radius > 0, "> 0 or none"),
             ("e0_m", self.e0_m >= 8, ">= 8"),
             ("e0_iters", self.e0_iters >= 0, ">= 0"),
@@ -179,7 +174,7 @@ def median_kth_distance(coords, k: int = 6) -> float:
 # Sampson pruning and the full pipeline
 # ---------------------------------------------------------------------------
 
-def sampson_filter(corr, E0, tau: float, full_denominator: bool = False) -> np.ndarray:
+def sampson_filter(corr, E0, tau: float) -> np.ndarray:
     """Indices whose Sampson distance under E0 is below tau, order preserved."""
     if not tau > 0:
         raise InvalidInputError("tau must be positive")
@@ -188,39 +183,33 @@ def sampson_filter(corr, E0, tau: float, full_denominator: bool = False) -> np.n
         kept = np.arange(n)
     else:
         X1, X2 = corr.normalized_points()
-        d = sampson_distances(X1, X2, E0, full_denominator=full_denominator)
+        d = sampson_distances(X1, X2, E0)
         kept = np.nonzero(d < tau)[0]
     if len(kept) == 0:
         raise EmptyGraphError("no correspondence survived the Sampson filter")
     return kept
 
 
-def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
-                params: GraphParams | None = None,
+def build_graph(corr, params: GraphParams = GraphParams(),
                 E0: np.ndarray | None = None) -> EpipolarGraph:
     """Construct the pruned correspondence graph.
 
-    Pipeline: intrinsics-normalize, estimate E0 from a confidence-seeded
-    minimal subset (unless one is supplied), Sampson-filter at tau, then
-    build edges over the survivors.  ``k_clamped`` is set when k reaches
-    the match count or the survivor count.
+    Pipeline: intrinsics-normalize, estimate E0 (seed 0) from a confidence-
+    seeded minimal subset (unless one is supplied), Sampson-filter at tau,
+    then build edges over the survivors' image-1 points.  ``k_clamped`` is
+    set when k reaches the match count or the survivor count.
     """
-    if params is None:
-        params = GraphParams(k=k, tau=tau, variant=variant)
     X1, X2 = corr.normalized_points()
     n = len(X1)
-    coords_all = X1 if params.knn_source == 1 else X2
 
     clamped = params.k >= n and n >= 2
     if E0 is None:
-        E0 = estimate_E0(corr, tau=params.tau, m=params.e0_m,
-                         iters=params.e0_iters, seed=params.e0_seed)
+        E0 = estimate_E0(corr, tau=params.tau, m=params.e0_m, iters=params.e0_iters)
     else:
         E0 = np.asarray(E0, dtype=float)
 
-    kept = sampson_filter(corr, E0, params.tau,
-                          full_denominator=params.full_denominator)
-    coords = coords_all[kept]
+    kept = sampson_filter(corr, E0, params.tau)
+    coords = X1[kept]
 
     radius = params.radius
     with warnings.catch_warnings(record=True) as caught:
@@ -235,8 +224,6 @@ def build_graph(corr, k: int = 6, tau: float = 1e-4, variant: str = "hard",
         "k": params.k,
         "tau": params.tau,
         "variant": params.variant,
-        "symmetrize": params.symmetrize,
-        "knn_source": params.knn_source,
         "radius": radius,
         "k_clamped": clamped,
         "e0": E0,

@@ -2,8 +2,8 @@
 
 DRE is the geodesic rotation angle acos((tr(Rg^T Rp) - 1) / 2); DTE the
 angular gap between translation directions; APE/APE-R/ATE compare a
-chained trajectory against ground truth with both anchored at the origin
-(no alignment unless requested).
+chained trajectory against ground truth with both anchored at the origin,
+without alignment.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ def chain(relatives, start: Pose | None = None, fps: float = 10.0) -> Trajectory
     return Trajectory(poses, fps=fps)
 
 
-def ape(traj_pred: Trajectory, traj_gt: Trajectory, align: bool = False) -> np.ndarray:
+def ape(traj_pred: Trajectory, traj_gt: Trajectory) -> np.ndarray:
     """Per-frame position error in meters."""
-    p, g = _paired_positions(traj_pred, traj_gt, align)
-    return np.linalg.norm(p - g, axis=1)
+    if len(traj_pred) != len(traj_gt):
+        raise ValidationError("trajectory length mismatch")
+    return np.linalg.norm(traj_pred.positions() - traj_gt.positions(), axis=1)
 
 
 def ape_r(traj_pred: Trajectory, traj_gt: Trajectory) -> np.ndarray:
@@ -73,34 +74,12 @@ def ape_r(traj_pred: Trajectory, traj_gt: Trajectory) -> np.ndarray:
                      for p, g in zip(traj_pred.poses, traj_gt.poses)])
 
 
-def ate(traj_pred: Trajectory, traj_gt: Trajectory, align: bool = False) -> float:
+def ate(traj_pred: Trajectory, traj_gt: Trajectory) -> float:
     """RMS of the per-frame position errors."""
     if len(traj_pred) < 1:
         raise ValidationError("empty trajectory")
-    e = ape(traj_pred, traj_gt, align=align)
+    e = ape(traj_pred, traj_gt)
     return float(np.sqrt(np.mean(e ** 2)))
-
-
-def _paired_positions(traj_pred, traj_gt, align):
-    if len(traj_pred) != len(traj_gt):
-        raise ValidationError("trajectory length mismatch")
-    p = traj_pred.positions()
-    g = traj_gt.positions()
-    if align:
-        p = _umeyama_align(p, g)
-    return p, g
-
-
-def _umeyama_align(p, g):
-    """Rigid (no-scale) least-squares alignment of p onto g."""
-    mp, mg = p.mean(axis=0), g.mean(axis=0)
-    H = (p - mp).T @ (g - mg)
-    U, _, Vt = np.linalg.svd(H)
-    D = np.eye(3)
-    if np.linalg.det(Vt.T @ U.T) < 0:
-        D[2, 2] = -1.0
-    R = Vt.T @ D @ U.T
-    return (R @ (p - mp).T).T + mg
 
 
 # ---------------------------------------------------------------------------

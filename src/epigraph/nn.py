@@ -109,26 +109,16 @@ def preset_config(name: str, hidden: int = 64, feature_dim: int = 6) -> ModelCon
 # ---------------------------------------------------------------------------
 
 class ModelParams:
-    """Named tensors with paired gradient and Adam moment buffers."""
+    """Named tensors with paired Adam moment buffers."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = {k: np.asarray(v, dtype=float) for k, v in tensors.items()}
-        self.grads = {k: np.zeros_like(v) for k, v in self.tensors.items()}
         self.m = {k: np.zeros_like(v) for k, v in self.tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in self.tensors.items()}
         self.step = 0
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
-    def set_grads(self, grads: dict[str, np.ndarray]) -> None:
-        for k in self.tensors:
-            self.grads[k][...] = grads[k]
-
     def copy(self) -> ModelParams:
-        """Independent copy of the tensors, Adam moments and step; the
-        copy's gradients are zero."""
+        """Independent copy of the tensors, Adam moments and step."""
         out = ModelParams({k: v.copy() for k, v in self.tensors.items()})
         out.m = {k: v.copy() for k, v in self.m.items()}
         out.v = {k: v.copy() for k, v in self.v.items()}
@@ -226,9 +216,9 @@ class GraphTensors:
     row-major order: ``rows`` (attending node) is sorted, and
     ``row_starts[i]`` is the first edge of node i.  ``col_order`` is a
     stable sort of the edges by ``cols`` (attended node), with
-    ``col_starts`` its segment starts; it is needed because the pattern is
-    not symmetric without symmetrization.  Every node has its self-loop,
-    so no segment is empty."""
+    ``col_starts`` its segment starts.  Every node has its self-loop, so no
+    segment is empty.  ``adj`` may be asymmetric, and a symmetric one need
+    not give a bitwise-symmetric ``a_hat``, so backward uses transposes."""
 
     def __init__(self, features: np.ndarray, adj: np.ndarray):
         self.x = np.asarray(features, dtype=float)
@@ -245,18 +235,14 @@ class GraphTensors:
         self.col_starts = np.searchsorted(self.cols[self.col_order], nodes)
 
 
-def graph_tensors(g, symmetrize: bool | None = None) -> GraphTensors:
+def graph_tensors(g) -> GraphTensors:
     """Build the dense operators and the attention edge list of an
-    EpipolarGraph."""
+    EpipolarGraph, its adjacency symmetrized as max(A, A^T)."""
     if g.n_nodes == 0:
         raise EmptyGraphError("graph has no nodes")
-    if symmetrize is None:
-        symmetrize = bool(g.meta.get("symmetrize", True))
     A = np.zeros((g.n_nodes, g.n_nodes))
     A[g.edges.src, g.edges.dst] = g.edges.weight
-    if symmetrize:
-        A = np.maximum(A, A.T)
-    return GraphTensors(g.node_features, A)
+    return GraphTensors(g.node_features, np.maximum(A, A.T))
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +539,15 @@ def forward_embeddings(gt: GraphTensors, params: ModelParams, config: ModelConfi
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(params: ModelParams, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Standard bias-corrected Adam update from params.grads."""
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float = 1e-4,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Standard bias-corrected Adam update from ``grads``, keyed like the tensors."""
     params.step += 1
     t = params.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for k, theta in params.tensors.items():
-        g = params.grads[k]
+        g = grads[k]
         params.m[k] = beta1 * params.m[k] + (1.0 - beta1) * g
         params.v[k] = beta2 * params.v[k] + (1.0 - beta2) * g * g
         m_hat = params.m[k] / c1

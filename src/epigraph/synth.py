@@ -329,8 +329,11 @@ def load_correspondences(path) -> CorrespondenceSet:
                 if parts[:2] == ["#", "gt_relative"]:
                     if len(parts) != 9:
                         raise FormatError("gt_relative needs qw qx qy qz tx ty tz", line=ln)
-                    vals = [float(v) for v in parts[2:]]
-                    gt = Pose(np.array(vals[:4]), np.array(vals[4:]))
+                    vals = np.array([float(v) for v in parts[2:]])
+                    gt = Pose(vals[:4], vals[4:])
+                    # normalizing a saved unit quaternion again can move its last bit
+                    if np.abs(gt.q - vals[:4]).max() <= 4 * np.finfo(float).eps:
+                        object.__setattr__(gt, "q", vals[:4])
                 elif parts[:2] == ["#", "pair_id"]:
                     if len(parts) != 5:
                         raise FormatError("pair_id needs sequence i j", line=ln)

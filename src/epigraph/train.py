@@ -136,7 +136,17 @@ def _ckpt_meta(cfg: TrainConfig, epoch: int, val_total: float) -> dict:
             **encode(cfg.graph, "graph.")}
 
 
+# Graph settings that became fixed behaviour, with their fixed value; an older
+# checkpoint whose meta holds another value was trained on graphs no longer built.
+_RETIRED_GRAPH_META = {"graph.symmetrize": ("bool", True), "graph.knn_source": ("int", 1),
+                       "graph.full_denominator": ("bool", False), "graph.e0_seed": ("int", 0)}
+
+
 def graph_params_from_meta(meta: dict) -> GraphParams:
+    for key, (tag, fixed) in _RETIRED_GRAPH_META.items():
+        if key in meta and parse_setting(tag, meta[key], key) != fixed:
+            raise InvalidInputError(f"{key} is no longer a setting; it must be "
+                                    f"{format_setting(tag, fixed)}, got {meta[key]!r}")
     return decode(GraphParams, meta, "graph.")
 
 
@@ -196,8 +206,7 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
                     continue
                 for k in acc:
                     acc[k] /= n_ok
-                params.set_grads(acc)
-                nn.adam_step(params, lr=cfg.lr)
+                nn.adam_step(params, acc, lr=cfg.lr)
 
             if not train_losses:
                 raise ValidationError("every training graph failed to build this epoch")

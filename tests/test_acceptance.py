@@ -126,7 +126,7 @@ def test_criterion_3_gradient_fidelity():
     rng = np.random.default_rng(11)
     n = 12
     feats = rng.normal(size=(n, 6))
-    g = EpipolarGraph(feats, random_edges(rng, n, 3), np.arange(n), {"symmetrize": True})
+    g = EpipolarGraph(feats, random_edges(rng, n, 3), np.arange(n))
     gtensors = nn.graph_tensors(g)
     target = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)))
 
@@ -151,7 +151,7 @@ def test_criterion_4_permutation_invariance():
     edges = random_edges(rng, n, 4)
     cfg = nn.preset_config("3GCN+GAT")
     params = nn.init_params(cfg, seed=2)
-    g = EpipolarGraph(feats, edges, np.arange(n), {"symmetrize": True})
+    g = EpipolarGraph(feats, edges, np.arange(n))
     base, _ = nn.model_forward(nn.graph_tensors(g), params, cfg)
     worst = 0.0
     for _ in range(100):
@@ -159,7 +159,7 @@ def test_criterion_4_permutation_invariance():
         inv = np.empty(n, dtype=int)
         inv[perm] = np.arange(n)
         pedges = Edges(inv[edges.src], inv[edges.dst], edges.weight)
-        pg = EpipolarGraph(feats[perm], pedges, np.arange(n), {"symmetrize": True})
+        pg = EpipolarGraph(feats[perm], pedges, np.arange(n))
         out, _ = nn.model_forward(nn.graph_tensors(pg), params, cfg)
         worst = max(worst,
                     float(np.abs(out.q - base.q).max()),

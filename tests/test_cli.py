@@ -55,6 +55,14 @@ class TestGenerate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sequence", ["a b", ""])
+    def test_unreadable_sequence_name_exits_two(self, tmp_path, capsys, sequence):
+        # the manifest splits its records on whitespace, so train could not read it
+        rc = run(["generate"] + base_args(tmp_path, ["--set", f"dataset.sequence={sequence}"]))
+        assert rc == 2
+        assert "dataset.sequence" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "dataset")
+
     def test_gt_relative_round_trips_through_files(self, tmp_path):
         run(["generate"] + base_args(tmp_path))
         _, corrs, _ = load_manifest(tmp_path / "dataset" / "manifest_s0p1.txt")
@@ -76,8 +84,8 @@ def trained_root(tmp_path_factory):
 
 
 def test_unrunnable_setting_exits_two(tmp_path, capsys):
-    assert run(["train"] + base_args(tmp_path, ["--set", "graph.knn_source=3"])) == 2
-    assert "graph.knn_source" in capsys.readouterr().err
+    assert run(["train"] + base_args(tmp_path, ["--set", "graph.k=0"])) == 2
+    assert "graph.k" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "checkpoint.txt")
 
 
@@ -254,15 +262,49 @@ class TestCheckpointMeta:
         assert self.run_with(command, trained_root, ckpt, tmp_path) == 3
         assert "graph.k" in capsys.readouterr().err
 
+    def set_graph_meta(self, trained_root, tmp_path, values):
+        """A copy of the checkpoint whose ``meta graph.<field>`` lines hold
+        ``values``; each replaces the field's line, or is added where the
+        checkpoint has none, as for the retired fields."""
+        def edit(ln):
+            if any(ln.startswith(f"meta graph.{field} ") for field in values):
+                return None
+            if ln.startswith("meta normalized_e "):
+                return "\n".join([ln] + [f"meta graph.{f} {v}" for f, v in values.items()])
+            return ln
+        return self.rewrite(trained_root, tmp_path, edit)
+
+    # a retired field (symmetrize, knn_source) holding anything but its fixed
+    # value marks a checkpoint trained on graphs that are no longer built
     @pytest.mark.parametrize("field,value", [
         ("k", "0"), ("tau", "0"), ("knn_source", "3"), ("e0_m", "4"),
-        ("e0_iters", "-1"), ("radius", "0"), ("variant", "fuzzy")])
+        ("e0_iters", "-1"), ("radius", "0"), ("variant", "fuzzy"),
+        ("knn_source", "2"), ("symmetrize", "0")])
     def test_unrunnable_graph_meta(self, trained_root, tmp_path, capsys, field, value):
-        prefix = f"meta graph.{field} "
-        ckpt = self.rewrite(trained_root, tmp_path,
-                            lambda ln: prefix + value if ln.startswith(prefix) else ln)
+        ckpt = self.set_graph_meta(trained_root, tmp_path, {field: value})
+        assert f"meta graph.{field} {value}\n" in open(ckpt).read()
         assert self.run_with("eval", trained_root, ckpt, tmp_path) == 3
         assert f"graph.{field}" in capsys.readouterr().err
+
+    def test_retired_graph_meta_at_its_fixed_value_is_accepted(self, trained_root,
+                                                               tmp_path):
+        """Checkpoints written while symmetrize, knn_source, full_denominator
+        and e0_seed were settings carry their meta lines; at the values every
+        run used, they evaluate exactly like a fresh checkpoint."""
+        ckpt = self.set_graph_meta(trained_root, tmp_path, {
+            "symmetrize": "1", "knn_source": "1", "full_denominator": "0", "e0_seed": "0"})
+        assert "meta graph.full_denominator 0\n" in open(ckpt).read()
+        manifest = os.path.join(trained_root, "dataset", "manifest_s0p1.txt")
+        outputs = []
+        for name, path in (("fresh", os.path.join(trained_root, "checkpoint.txt")),
+                           ("old_meta", ckpt)):
+            out_dir = f"out_graph_meta_{name}"
+            assert run(["eval"] + base_args(trained_root, [
+                "--set", "dataset.kind=files", "--set", f"dataset.manifest={manifest}",
+                "--set", "eval.baseline=eightpoint", "--set", f"eval.out_dir={out_dir}",
+                "--checkpoint", path])) == 0
+            outputs.append(dir_snapshot(os.path.join(trained_root, out_dir)))
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_non_finite_loss_weight(self, trained_root, tmp_path, capsys):
         ckpt = self.rewrite(trained_root, tmp_path,

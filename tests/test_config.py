@@ -56,14 +56,14 @@ def test_serialize_writes_exactly_the_dataclass_fields():
 
 
 def test_serialize_encoding_and_older_spellings(tmp_path):
-    text = serialize_config(parse_config(None, overrides=["graph.symmetrize=false"]))
-    assert "symmetrize = 0" in text and "radius = none" in text
-    assert "check_intrinsics = 0" in text
+    text = serialize_config(parse_config(None, overrides=["dataset.check_intrinsics=true"]))
+    assert "check_intrinsics = 1" in text and "radius = none" in text
+    assert "normalized_e = 0" in text
     path = tmp_path / "old.ini"
-    path.write_text("[graph]\nsymmetrize = true\nradius = auto\n"
+    path.write_text("[dataset]\ncheck_intrinsics = true\n[graph]\nradius = auto\n"
                     "[loss]\nnormalized_e = yes\n")
     cfg = parse_config(path)
-    assert cfg.graph.symmetrize is True and cfg.graph.radius is None
+    assert cfg.dataset.check_intrinsics is True and cfg.graph.radius is None
     assert cfg.loss.normalized_e is True
 
 
@@ -114,11 +114,14 @@ def test_unknown_names_rejected():
 
 # values of each field that no run can use
 UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
-              "graph.knn_source=3", "graph.e0_m=4", "graph.e0_iters=-1",
+              "graph.e0_m=4", "graph.e0_iters=-1",
               "graph.radius=0", "train.epochs=0",
               "train.lr=0", "train.lr=-1", "train.lr=nan", "train.lr=inf",
+              "train.batch_size=0",
               "loss.lambda_pose=nan", "loss.lambda_frob=inf", "loss.lambda_yaw=-1",
-              "dataset.n_points=7"]
+              "dataset.n_points=7", "dataset.noise_px=-1", "dataset.noise_px=nan",
+              "dataset.noise_px=inf", "dataset.sequence=", "dataset.sequence=a b",
+              "dataset.sequence=a\tb", "dataset.sequence=a\udcffb"]
 
 
 @pytest.mark.parametrize("override", UNRUNNABLE)
@@ -129,20 +132,40 @@ def test_unrunnable_value_is_config_error_naming_its_field(override):
 
 
 def test_edge_values_stay_valid():
-    cfg = parse_config(None, overrides=["graph.tau=inf", "graph.k=1", "graph.knn_source=2",
+    cfg = parse_config(None, overrides=["graph.tau=inf", "graph.k=1",
                                         "graph.e0_m=8", "graph.e0_iters=0",
                                         "graph.radius=none", "train.epochs=1",
                                         "train.lr=1e-300", "loss.lambda_pose=0",
-                                        "dataset.n_points=8"])
-    assert cfg.graph.tau == float("inf") and cfg.graph.knn_source == 2
+                                        "dataset.n_points=8", "train.batch_size=1",
+                                        "dataset.noise_px=0", "dataset.sequence=a-b:c"])
+    assert cfg.graph.tau == float("inf") and cfg.graph.k == 1
     assert cfg.train.epochs == 1 and cfg.train.lr == 1e-300
     assert cfg.weights().lambda_pose == 0.0 and cfg.dataset.n_points == 8
+    assert cfg.train.batch_size == 1 and cfg.dataset.noise_px == 0.0
+    assert cfg.dataset.sequence == "a-b:c"
 
 
 def test_unrunnable_value_in_config_file(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[graph]\nknn_source = 3\n")
-    with pytest.raises(ConfigError, match=r"graph\.knn_source"):
+    path.write_text("[graph]\nk = 0\n")
+    with pytest.raises(ConfigError, match=r"graph\.k"):
+        parse_config(str(path))
+
+
+# graph settings that became fixed behaviour; setting one, even to its fixed
+# value, is the unknown-field (--set) or unknown-key (INI) error
+RETIRED = ["graph.symmetrize=1", "graph.knn_source=3", "graph.full_denominator=0",
+           "graph.e0_seed=0"]
+
+
+@pytest.mark.parametrize("override", RETIRED)
+def test_retired_graph_setting_is_unknown(tmp_path, override):
+    dotted, value = override.split("=")
+    with pytest.raises(ConfigError, match=f"unknown config field '{re.escape(dotted)}'"):
+        parse_config(None, overrides=[override])
+    path = tmp_path / "old.ini"
+    path.write_text(f"[graph]\n{dotted.split('.')[1]} = {value}\n")
+    with pytest.raises(ConfigError, match=f"unknown key {re.escape(dotted)}"):
         parse_config(str(path))
 
 
@@ -171,10 +194,8 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
 
 graph_params = st.builds(
     GraphParams, k=st.integers(1, 2 ** 40), tau=positive,
-    variant=st.sampled_from(VARIANTS), symmetrize=st.booleans(),
-    knn_source=st.sampled_from((1, 2)), radius=st.none() | positive,
-    e0_seed=st.integers(-2 ** 70, 2 ** 70), e0_m=st.integers(8, 2 ** 40),
-    e0_iters=st.integers(0, 2 ** 40), full_denominator=st.booleans())
+    variant=st.sampled_from(VARIANTS), radius=st.none() | positive,
+    e0_m=st.integers(8, 2 ** 40), e0_iters=st.integers(0, 2 ** 40))
 
 
 @settings(max_examples=200, deadline=None)

@@ -223,15 +223,6 @@ class TestSampsonDistance:
         assert sampson_distances([[0.1, 0.2, 1]], [[0.3, 0.4, 1]],
                                  np.zeros((3, 3)))[0] == 0.0
 
-    def test_full_denominator_variant(self):
-        x1 = np.array([0.1, -0.2, 1.0])
-        x2 = np.array([0.3, 0.2, 1.0])
-        E = np.arange(9, dtype=float).reshape(3, 3) + 1
-        Ex1, Etx2 = E @ x1, E.T @ x2
-        expect = (x2 @ Ex1) ** 2 / (Ex1 @ Ex1 + Etx2 @ Etx2)
-        assert np.isclose(sampson_distances([x1], [x2], E, full_denominator=True)[0],
-                          expect)
-
 
 class TestRelativePose:
     def test_same_pose_gives_identity(self):

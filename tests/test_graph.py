@@ -225,7 +225,7 @@ class TestSampsonFilter:
 class TestBuildGraph:
     def test_noiseless_all_kept_out_degree_six(self):
         corr = generate_scene(14, 50, (3, 10), small_pose(14))
-        g = build_graph(corr, k=6)
+        g = build_graph(corr, params=GraphParams(k=6))
         assert g.n_nodes == 50
         assert np.array_equal(np.bincount(g.edges.src, minlength=50), np.full(50, 6))
         assert np.array_equal(g.kept_indices, np.arange(50))

@@ -166,9 +166,11 @@ class TestApeAte:
         with pytest.raises(ValidationError):
             ate(short, gt)
 
-    def test_alignment_flag(self):
+    def test_pure_offset_is_not_aligned_away(self):
+        # ape/ate compare positions as chained, with no alignment
         gt, shifted = self.make_pair()
-        assert ate(shifted, gt, align=True) < 1e-9  # pure offset aligns away
+        assert np.allclose(ape(shifted, gt), 1.0, rtol=0, atol=1e-12)
+        assert abs(ate(shifted, gt) - 1.0) < 1e-12
 
 
 class TestRecordAndReport:

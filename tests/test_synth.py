@@ -1,6 +1,13 @@
+import os
+import tempfile
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epigraph.config import DatasetSection
 from epigraph.errors import (
     EmptySamplingError,
     FormatError,
@@ -33,6 +40,45 @@ from epigraph.synth import (
 )
 
 WIDE_FOV = Intrinsics(100.0, 100.0, 320.0, 240.0)
+
+# values a text format can get wrong: the sign of zero and subnormals
+EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308)
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def pixels(limit):
+    """Coordinates in [0, limit), down to the float just under limit."""
+    return (st.floats(0.0, limit, exclude_max=True)
+            | st.sampled_from((*EDGE_FLOATS, float(np.nextafter(limit, 0)))))
+
+
+# every name the dataset.sequence check allows: printable, no whitespace
+sequence_names = st.text(st.characters(blacklist_categories=(
+    "Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs")), min_size=1)
+
+
+@st.composite
+def correspondence_sets(draw):
+    width, height = draw(st.integers(1, 8192)), draw(st.integers(1, 8192))
+    n = draw(st.integers(0, 12))
+    p1, p2 = ([[draw(pixels(width)), draw(pixels(height))] for _ in range(n)]
+              for _ in range(2))
+    conf = [draw(st.floats(0.0, 1.0) | st.sampled_from(EDGE_FLOATS)) for _ in range(n)]
+    focal = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    K = Intrinsics(draw(focal), draw(focal), draw(finite), draw(finite))
+    q = draw(st.lists(st.floats(-1e6, 1e6) | st.sampled_from(EDGE_FLOATS),
+                      min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 1e-6))
+    t = draw(st.lists(finite, min_size=3, max_size=3))
+    gt = draw(st.sampled_from((None, Pose(q, t))))
+    sequence = draw(sequence_names)
+    assert DatasetSection(sequence=sequence).sequence == sequence
+    pair_id = (sequence, draw(st.integers()), draw(st.integers()))
+    return CorrespondenceSet(np.array(p1).reshape(-1, 2), np.array(p2).reshape(-1, 2),
+                             np.array(conf), K, width, height, gt, pair_id)
 
 
 def small_pose(seed=0, rot_deg=6.0, t=(0.3, 0.1, 0.5)):
@@ -209,6 +255,26 @@ class TestCorrespondenceIO:
         assert back.pair_id == corr.pair_id
         assert np.array_equal(back.gt_relative.q, corr.gt_relative.q)
         assert np.array_equal(back.gt_relative.t, corr.gt_relative.t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bitwise(self, data):
+        corr = data.draw(correspondence_sets())
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "pair.txt")
+            save_correspondences(corr, path)
+            back = load_correspondences(path)
+        for name in ("p1", "p2", "confidence"):
+            a, b = getattr(back, name), getattr(corr, name)
+            assert a.shape == b.shape and np.array_equal(bits(a), bits(b)), name
+        assert np.array_equal(bits(astuple(back.intrinsics)), bits(astuple(corr.intrinsics)))
+        assert (back.width, back.height, back.pair_id) == (corr.width, corr.height,
+                                                           corr.pair_id)
+        if corr.gt_relative is None:
+            assert back.gt_relative is None
+        else:
+            assert np.array_equal(bits(back.gt_relative.q), bits(corr.gt_relative.q))
+            assert np.array_equal(bits(back.gt_relative.t), bits(corr.gt_relative.t))
 
     def test_empty_set(self, tmp_path):
         corr = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),

@@ -131,11 +131,11 @@ class TestTrainLoop:
         steps = []
         adam_step = nn.adam_step
 
-        def failing_step(params, **kw):
+        def failing_step(params, grads, **kw):
             steps.append(1)
             if len(steps) == 3 * 2 + 2:  # 2 steps per epoch: epoch 4's second
                 raise RuntimeError("injected")
-            adam_step(params, **kw)
+            adam_step(params, grads, **kw)
 
         monkeypatch.setattr(nn, "adam_step", failing_step)
         with pytest.raises(RuntimeError, match="injected"):
@@ -200,9 +200,8 @@ class TestEvaluate:
         weights = LossWeights(0.5, 1.5, 0.0)
         data = tiny_dataset(6, seed=700)
         for radius in (None, 0.25):
-            gp = GraphParams(k=4, tau=2e-4, variant="soft", symmetrize=False,
-                             knn_source=2, radius=radius, e0_seed=9, e0_m=12,
-                             e0_iters=20, full_denominator=True)
+            gp = GraphParams(k=4, tau=2e-4, variant="soft", radius=radius, e0_m=12,
+                             e0_iters=20)
             assert all(getattr(gp, f.name) != getattr(default, f.name)
                        for f in dataclasses.fields(gp) if f.name != "radius")
             path = tmp_path / f"j_{radius}.txt"
