@@ -349,7 +349,7 @@ def cmd_bench_knn(cfg: ExperimentConfig, epochs: int | None) -> int:
     for variant in ("hard", "soft", "radius", "mutual"):
         gp = replace(cfg.graph, variant=variant,
                      radius=None if variant == "radius" else cfg.graph.radius)
-        # each graph is built once, here for its stats; train and evaluate reuse it
+        # each graph is built once, here for its stats; train and predict reuse it
         cache = train_mod.GraphCache()
         n_nodes, n_edges, wmin, wmax = [], [], np.inf, -np.inf
         for corr in corrs:
@@ -363,11 +363,14 @@ def cmd_bench_knn(cfg: ExperimentConfig, epochs: int | None) -> int:
         ckpt = os.path.join(root, f"bench_{variant}.ckpt")
         train_mod.train(_train_config(cfg, gp, epochs or cfg.train.epochs), corrs, ckpt,
                         cache=cache)
-        results = train_mod.evaluate(ckpt, corrs, cache=cache)
-        preds = [r[0] for r in results]
-        gts = [r[1] for r in results]
-        rec = metrics.build_record([c.pair_label() for c in corrs], preds, gts,
-                                   chain_idx, fps=cfg.dataset.fps)
+        preds = []
+        for out in train_mod.predict(train_mod.load_model(ckpt), corrs, cache):
+            if isinstance(out, EpigraphError):
+                raise out
+            preds.append(Pose(out.q, out.t))
+        rec = metrics.build_record([c.pair_label() for c in corrs], preds,
+                                   [c.gt_relative for c in corrs], chain_idx,
+                                   fps=cfg.dataset.fps)
         s = rec.summary()
         rows.append((variant, s["ate_m"], s["ape_m_mean"], s["ape_r_deg_mean"],
                      s["dte_deg_mean"], s["dre_deg_mean"],

@@ -64,9 +64,11 @@ class DatasetSection:
 @dataclass(frozen=True)
 class ModelSection:
     preset: str = "3GCN+GAT"
-    layers: str = ""
-    pooling: str = ""
     hidden: int = 64
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise InvalidInputError(f"model.hidden must be >= 1, got {self.hidden!r}")
 
 
 @dataclass(frozen=True)
@@ -115,35 +117,10 @@ class ExperimentConfig:
                               for name in settings(LossWeights)})
 
     def model_config(self) -> nn.ModelConfig:
-        if self.model.layers:
-            layers = tuple(_parse_layer(s) for s in self.model.layers.split(","))
-            pooling = self.model.pooling or "mean"
-            return nn.ModelConfig(layers, pooling=pooling, hidden=self.model.hidden)
-        cfg = nn.preset_config(self.model.preset, hidden=self.model.hidden)
-        if self.model.pooling:
-            cfg = nn.ModelConfig(cfg.layers, pooling=self.model.pooling,
-                                 hidden=cfg.hidden)
-        return cfg
+        return nn.preset_config(self.model.preset, hidden=self.model.hidden)
 
     def resolved_out_root(self) -> str:
         return os.environ.get("EPIGRAPH_OUT_ROOT", "") or self.out_root
-
-
-def _parse_layer(s: str) -> nn.LayerSpec:
-    parts = s.strip().split(":")
-    if len(parts) not in (3, 4, 5):
-        raise ConfigError(f"bad layer spec {s!r}; want kind:in:out[:heads[:act]]")
-    kind = parts[0]
-    try:
-        in_dim, out_dim = int(parts[1]), int(parts[2])
-        heads = int(parts[3]) if len(parts) > 3 else (4 if kind == "gat" else 1)
-    except ValueError:
-        raise ConfigError(f"bad layer spec {s!r}") from None
-    act = parts[4] if len(parts) > 4 else "relu"
-    try:
-        return nn.LayerSpec(kind, in_dim, out_dim, heads, act)
-    except Exception as e:
-        raise ConfigError(f"bad layer spec {s!r}: {e}") from None
 
 
 # The settings codec.  A setting's type tag is its dataclass annotation
@@ -233,21 +210,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dataset.kind must be synthetic or files, got {cfg.dataset.kind!r}")
     if cfg.dataset.motion not in ("forward", "arc", "random-walk"):
         raise ConfigError(f"unknown motion model {cfg.dataset.motion!r}")
-    if cfg.model.preset and cfg.model.layers:
-        raise ConfigError("model.preset and model.layers are mutually exclusive; "
-                          "clear one of them")
-    if not cfg.model.preset and not cfg.model.layers:
-        raise ConfigError("one of model.preset / model.layers is required")
-    if cfg.model.preset and cfg.model.preset not in nn.PRESET_NAMES:
+    if cfg.model.preset not in nn.PRESET_NAMES:
         raise ConfigError(f"unknown preset {cfg.model.preset!r}; "
                           f"known: {', '.join(nn.PRESET_NAMES)}")
-    if cfg.model.pooling and cfg.model.pooling not in nn.POOLINGS:
-        raise ConfigError(f"unknown pooling {cfg.model.pooling!r}")
     if cfg.eval.baseline not in ("none", "eightpoint"):
         raise ConfigError(f"unknown baseline {cfg.eval.baseline!r}")
     if not (0.0 < cfg.train.split < 1.0):
         raise ConfigError("train.split must lie strictly between 0 and 1")
-    cfg.model_config()  # surfaces bad layer strings and dim chains
     cfg.weights()  # surfaces negative and non-finite loss weights
 
 

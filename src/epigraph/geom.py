@@ -30,11 +30,11 @@ _UNIT_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 def normalize_quat(q) -> np.ndarray:
-    """Return q scaled to unit norm. Zero-norm input is invalid."""
+    """Return q scaled to unit norm. Zero-norm or non-finite input is invalid."""
     q = np.asarray(q, dtype=float).reshape(4)
     n = np.linalg.norm(q)
-    if n < 1e-12:
-        raise InvalidInputError("zero-norm quaternion")
+    if not 1e-12 <= n < np.inf:  # a NaN norm fails this too
+        raise InvalidInputError(f"quaternion norm {n} is zero or not finite")
     return q / n
 
 

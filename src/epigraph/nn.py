@@ -1,10 +1,10 @@
 """Message-passing stack with analytic gradients.
 
-GCN, GAT, GIN and nodewise linear layers, global pooling, a shared MLP
-trunk with separate translation/quaternion heads, a bias-corrected Adam
-optimizer, plain-text checkpoints, and a finite-difference gradient
-checker.  GCN and GIN propagate through dense (N, N) operators; GAT
-attends over an edge list with a segment softmax.
+GCN, GAT and GIN layers, global pooling, a shared MLP trunk with
+separate translation/quaternion heads, a bias-corrected Adam optimizer,
+plain-text checkpoints, and a finite-difference gradient checker.  GCN
+and GIN propagate through dense (N, N) operators; GAT attends over an
+edge list with a segment softmax.
 
 Graph structure (adjacency, attention topology, degrees) is constant
 under differentiation; only feature and parameter paths carry gradients.
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .synth import _fmt
 
-ACTIVATIONS = ("relu", "tanh", "none")
+ACTIVATIONS = ("relu", "none")
 POOLINGS = ("mean", "sum")
 PRESET_NAMES = ("GAT+2GCN", "3GCN+GAT", "GIN_SumPool")
 
@@ -69,14 +69,13 @@ class ModelConfig:
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.pooling not in POOLINGS:
             raise InvalidInputError(f"unknown pooling {self.pooling!r}")
+        if not self.layers:
+            raise InvalidInputError("a model needs at least one graph layer")
         if self.hidden < 1:
             raise InvalidInputError("hidden width must be >= 1")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
-
-    def trunk_in_dim(self, feature_dim: int = 6) -> int:
-        return self.layers[-1].out_dim if self.layers else feature_dim
 
     @cached_property
     def layer_plan(self) -> tuple[_LayerPlan, ...]:
@@ -84,21 +83,22 @@ class ModelConfig:
         return tuple(_LayerPlan.of(i, spec) for i, spec in enumerate(self.layers))
 
 
-def preset_config(name: str, hidden: int = 64, feature_dim: int = 6) -> ModelConfig:
-    """Named stacks from the experiment tables; layer order follows the name."""
+def preset_config(name: str, hidden: int = 64) -> ModelConfig:
+    """Named stacks from the experiment tables; layer order follows the name,
+    and the first layer takes the 6-D node features."""
     if name == "GAT+2GCN":
-        layers = (LayerSpec("gat", feature_dim, hidden, heads=4),
+        layers = (LayerSpec("gat", 6, hidden, heads=4),
                   LayerSpec("gcn", hidden, hidden),
                   LayerSpec("gcn", hidden, hidden))
         return ModelConfig(layers, pooling="mean", hidden=hidden)
     if name == "3GCN+GAT":
-        layers = (LayerSpec("gcn", feature_dim, hidden),
+        layers = (LayerSpec("gcn", 6, hidden),
                   LayerSpec("gcn", hidden, hidden),
                   LayerSpec("gcn", hidden, hidden),
                   LayerSpec("gat", hidden, hidden, heads=4))
         return ModelConfig(layers, pooling="mean", hidden=hidden)
     if name == "GIN_SumPool":
-        layers = (LayerSpec("gin", feature_dim, hidden),
+        layers = (LayerSpec("gin", 6, hidden),
                   LayerSpec("gin", hidden, hidden))
         return ModelConfig(layers, pooling="sum", hidden=hidden)
     raise InvalidInputError(f"unknown preset {name!r}")
@@ -162,7 +162,6 @@ _LAYER_TENSORS = {
             "W2": lambda rng, spec: _glorot(rng, spec.out_dim, spec.out_dim,
                                             (spec.out_dim, spec.out_dim)),
             "b2": _bias},
-    "linear": {"W": _dense, "b": _bias},
 }
 LAYER_KINDS = tuple(_LAYER_TENSORS)
 
@@ -187,14 +186,14 @@ class _LayerPlan(NamedTuple):
                    names, keys, itemgetter(*keys))
 
 
-def init_params(config: ModelConfig, seed=0, feature_dim: int = 6) -> ModelParams:
+def init_params(config: ModelConfig, seed=0) -> ModelParams:
     """Uniform Glorot weights, zero biases, zero GIN epsilon."""
     rng = np.random.default_rng(seed)
     t: dict[str, np.ndarray] = {}
     for i, spec in enumerate(config.layers):
         for name, init in _LAYER_TENSORS[spec.kind].items():
             t[f"L{i}.{name}"] = init(rng, spec)
-    trunk_in = config.trunk_in_dim(feature_dim)
+    trunk_in = config.layers[-1].out_dim
     t["mlp1.W"] = _glorot(rng, trunk_in, config.hidden, (trunk_in, config.hidden))
     t["mlp1.b"] = np.zeros(config.hidden)
     t["head_t.W"] = _glorot(rng, config.hidden, 4, (config.hidden, 4))
@@ -252,16 +251,12 @@ def graph_tensors(g) -> GraphTensors:
 def _act(P, kind):
     if kind == "relu":
         return np.maximum(P, 0.0)
-    if kind == "tanh":
-        return np.tanh(P)
     return P
 
 
-def _act_back(dY, P, Y, kind):
+def _act_back(dY, P, kind):
     if kind == "relu":
         return dY * (P > 0)
-    if kind == "tanh":
-        return dY * (1.0 - Y * Y)
     return dY
 
 
@@ -293,11 +288,11 @@ def gcn_forward(H, gt: GraphTensors, W, b, activation="none"):
     AH = gt.a_hat @ H
     P = AH @ W + b
     Y = _act(P, activation)
-    return Y, {"H": H, "AH": AH, "P": P, "Y": Y, "W": W, "act": activation}
+    return Y, {"H": H, "AH": AH, "P": P, "W": W, "act": activation}
 
 
 def gcn_backward(dY, cache, gt: GraphTensors):
-    dP = _act_back(dY, cache["P"], cache["Y"], cache["act"])
+    dP = _act_back(dY, cache["P"], cache["act"])
     dW = cache["AH"].T @ dP
     db = dP.sum(axis=0)
     dH = gt.a_hat.T @ (dP @ cache["W"].T)
@@ -330,7 +325,7 @@ def gat_forward(H, gt: GraphTensors, W, a_src, a_dst, b, activation="none"):
     out = np.add.reduceat(msg, starts, axis=2)            # (heads, dh, n)
     P = out.transpose(2, 0, 1).reshape(n, heads * dh) + b
     Y = _act(P, activation)
-    return Y, {"H": H, "ZT": ZT, "raw": raw, "alpha": alpha, "P": P, "Y": Y,
+    return Y, {"H": H, "ZT": ZT, "raw": raw, "alpha": alpha, "P": P,
                "W": W, "a_src": a_src, "a_dst": a_dst, "act": activation}
 
 
@@ -340,7 +335,7 @@ def gat_backward(dY, cache, gt: GraphTensors):
     heads, dh, n = ZT.shape
     rows, cols, starts = gt.rows, gt.cols, gt.row_starts
     by_col, col_starts = gt.col_order, gt.col_starts
-    dP = _act_back(dY, cache["P"], cache["Y"], cache["act"])
+    dP = _act_back(dY, cache["P"], cache["act"])
     db = dP.sum(axis=0)
     G = dP.reshape(n, heads, dh).transpose(1, 2, 0)       # (heads, dh, n)
 
@@ -370,12 +365,12 @@ def gin_forward(H, gt: GraphTensors, eps, W1, b1, W2, b2, activation="none"):
     A1 = np.maximum(U1, 0.0)
     P = A1 @ W2 + b2
     Y = _act(P, activation)
-    return Y, {"H": H, "S": S, "U1": U1, "A1": A1, "P": P, "Y": Y,
+    return Y, {"H": H, "S": S, "U1": U1, "A1": A1, "P": P,
                "eps": eps, "W1": W1, "W2": W2, "act": activation}
 
 
 def gin_backward(dY, cache, gt: GraphTensors):
-    dP = _act_back(dY, cache["P"], cache["Y"], cache["act"])
+    dP = _act_back(dY, cache["P"], cache["act"])
     dW2 = cache["A1"].T @ dP
     db2 = dP.sum(axis=0)
     dA1 = dP @ cache["W2"].T
@@ -386,19 +381,6 @@ def gin_backward(dY, cache, gt: GraphTensors):
     deps = np.asarray((dS * cache["H"]).sum())
     dH = (1.0 + cache["eps"]) * dS + gt.adj.T @ dS
     return dH, {"eps": deps, "W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
-
-
-def linear_forward(H, gt: GraphTensors, W, b, activation="none"):
-    """Nodewise H' = act(H @ W + b); ``gt`` is unused, as for every kind the
-    stack passes it."""
-    P = H @ W + b
-    Y = _act(P, activation)
-    return Y, {"H": H, "P": P, "Y": Y, "W": W, "act": activation}
-
-
-def linear_backward(dY, cache, gt: GraphTensors):
-    dP = _act_back(dY, cache["P"], cache["Y"], cache["act"])
-    return dP @ cache["W"].T, {"W": cache["H"].T @ dP, "b": dP.sum(axis=0)}
 
 
 def pool(H, mode: str) -> np.ndarray:
@@ -573,7 +555,7 @@ def _spec_parse(s: str) -> LayerSpec:
 
 # config record -> parser of its value
 _CONFIG_RECORDS = {
-    "layers": lambda s: () if s == "none" else tuple(_spec_parse(x) for x in s.split(",")),
+    "layers": lambda s: tuple(_spec_parse(x) for x in s.split(",")),
     "pooling": str,
     "hidden": int,
 }
@@ -582,8 +564,7 @@ _CONFIG_RECORDS = {
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     meta: dict | None = None) -> None:
     lines = [CKPT_HEADER]
-    layer_str = ",".join(_spec_str(s) for s in config.layers)
-    lines.append(f"config layers {layer_str if layer_str else 'none'}")
+    lines.append(f"config layers {','.join(_spec_str(s) for s in config.layers)}")
     lines.append(f"config pooling {config.pooling}")
     lines.append(f"config hidden {config.hidden}")
     for k, v in (meta or {}).items():

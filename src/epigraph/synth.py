@@ -10,7 +10,8 @@ All generators are pure functions of their seed and parameters.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +69,12 @@ class CorrespondenceSet:
         if len(self.p2) != n or len(self.confidence) != n:
             raise ValidationError("p1, p2 and confidence must have equal length")
         if n > 0:
-            if self.confidence.min() < 0 or self.confidence.max() > 1:
+            # written so that a NaN, which compares False, fails them
+            if not (self.confidence.min() >= 0 and self.confidence.max() <= 1):
                 raise ValidationError("confidences must lie in [0, 1]")
             for name, p in (("p1", self.p1), ("p2", self.p2)):
-                if (p[:, 0].min() < 0 or p[:, 0].max() >= self.width
-                        or p[:, 1].min() < 0 or p[:, 1].max() >= self.height):
+                if not (p[:, 0].min() >= 0 and p[:, 0].max() < self.width
+                        and p[:, 1].min() >= 0 and p[:, 1].max() < self.height):
                     raise ValidationError(f"{name} pixels fall outside image bounds")
 
     def __len__(self) -> int:
@@ -108,15 +110,10 @@ class Trajectory:
 
     poses: list[Pose]
     fps: float = 10.0
-    indices: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.indices:
-            self.indices = list(range(len(self.poses)))
-        if self.fps <= 0:
+        if not self.fps > 0:
             raise InvalidInputError("frame rate must be positive")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise InvalidInputError("frame indices must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.poses)
@@ -302,6 +299,19 @@ def save_correspondences(corr: CorrespondenceSet, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _numbers(fields, ln: int) -> list[float]:
+    """The values of a line's numeric fields; a field that is not a finite
+    number raises FormatError naming line ``ln``."""
+    try:
+        vals = [float(v) for v in fields]
+    except ValueError as e:
+        raise FormatError(f"non-numeric value: {e}", line=ln) from None
+    for v, raw in zip(vals, fields):
+        if not math.isfinite(v):
+            raise FormatError(f"non-finite value {raw!r}", line=ln)
+    return vals
+
+
 def load_correspondences(path) -> CorrespondenceSet:
     with open(path) as f:
         raw = f.read().splitlines()
@@ -312,9 +322,9 @@ def load_correspondences(path) -> CorrespondenceSet:
         raise FormatError("header must carry width height fx fy cx cy", line=1)
     try:
         width, height = int(head[3]), int(head[4])
-        fx, fy, cx, cy = (float(v) for v in head[5:9])
     except ValueError as e:
         raise FormatError(f"bad header value: {e}", line=1) from None
+    fx, fy, cx, cy = _numbers(head[5:9], 1)
 
     p1, p2, conf = [], [], []
     gt = None
@@ -329,7 +339,7 @@ def load_correspondences(path) -> CorrespondenceSet:
                 if parts[:2] == ["#", "gt_relative"]:
                     if len(parts) != 9:
                         raise FormatError("gt_relative needs qw qx qy qz tx ty tz", line=ln)
-                    vals = np.array([float(v) for v in parts[2:]])
+                    vals = np.array(_numbers(parts[2:], ln))
                     gt = Pose(vals[:4], vals[4:])
                     # normalizing a saved unit quaternion again can move its last bit
                     if np.abs(gt.q - vals[:4]).max() <= 4 * np.finfo(float).eps:
@@ -347,10 +357,7 @@ def load_correspondences(path) -> CorrespondenceSet:
         fields = line.split()
         if len(fields) != 5:
             raise FormatError(f"expected 5 fields, got {len(fields)}", line=ln)
-        try:
-            vals = [float(v) for v in fields]
-        except ValueError:
-            raise FormatError("non-numeric field", line=ln) from None
+        vals = _numbers(fields, ln)
         if not (0.0 <= vals[4] <= 1.0):
             raise ValidationError(f"line {ln}: confidence {vals[4]} outside [0, 1]")
         p1.append(vals[0:2])
@@ -383,9 +390,6 @@ def load_trajectory(path, fps: float = 10.0) -> Trajectory:
             vals = line.split()
             if len(vals) != 12:
                 raise FormatError(f"expected 12 values, got {len(vals)}", line=ln)
-            try:
-                M = np.array([float(v) for v in vals]).reshape(3, 4)
-            except ValueError:
-                raise FormatError("non-numeric value", line=ln) from None
+            M = np.array(_numbers(vals, ln)).reshape(3, 4)
             poses.append(Pose(rot_to_quat(M[:, :3]), M[:, 3]))
     return Trajectory(poses, fps=fps)

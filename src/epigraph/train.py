@@ -19,7 +19,6 @@ import numpy as np
 from . import nn
 from .config import decode, encode, format_setting, parse_setting
 from .errors import EpigraphError, InvalidInputError, SchemaVersionError, ValidationError
-from .geom import Pose
 from .graph import GraphParams, build_graph
 from .losses import LossBreakdown, LossWeights, PoseTarget, total_loss, total_loss_grad
 from .seeding import substream
@@ -281,24 +280,6 @@ def predict(model: LoadedModel, dataset, cache: GraphCache | None = None) -> lis
             out = e
         results.append(out)
     return results
-
-
-def evaluate(checkpoint_path, dataset,
-             cache: GraphCache | None = None) -> list[tuple[Pose, Pose, LossBreakdown]]:
-    """Forward-only pass of a checkpoint over pairs with ground truth; the
-    first pair that fails raises its error."""
-    model = load_model(checkpoint_path)
-    dataset = list(dataset)
-    out = []
-    for corr, pred in zip(dataset, predict(model, dataset, cache)):
-        if corr.gt_relative is None:
-            raise ValidationError(f"pair {corr.pair_label()} has no ground truth")
-        target = PoseTarget.from_pose(corr.gt_relative, model.normalized_e)
-        if isinstance(pred, EpigraphError):
-            raise pred
-        bd = total_loss(pred.q, pred.t, target, model.weights)
-        out.append((Pose(pred.q, pred.t), corr.gt_relative, bd))
-    return out
 
 
 REPORT_HEADER = "# epigraph-train-report v1"

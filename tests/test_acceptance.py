@@ -24,10 +24,10 @@ from epigraph.geom import (
     sampson_distances,
 )
 from epigraph.graph import Edges, EpipolarGraph, GraphParams, build_graph, sampson_filter
-from epigraph.losses import TERM_VALUES, PoseTarget, PredictionState
+from epigraph.losses import TERM_GRADS, TERM_VALUES, PoseTarget, PredictionState, total_loss
 from epigraph.metrics import dre, dte
 from epigraph.synth import generate_scene, stress_scene
-from epigraph.train import TrainConfig, evaluate, split_dataset, train
+from epigraph.train import TrainConfig, load_model, predict, split_dataset, train
 
 WIDE_FOV = Intrinsics(100.0, 100.0, 320.0, 240.0)
 
@@ -140,8 +140,8 @@ def test_criterion_3_gradient_fidelity():
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     report("criterion 3 (gradient fidelity)", ok,
-           f"worst relative error {worst:.2e} over 3 presets x 7 loss terms; "
-           f"{elapsed:.1f}s")
+           f"worst relative error {worst:.2e} over 3 presets x {len(TERM_GRADS)} "
+           f"loss terms; {elapsed:.1f}s")
 
 
 def test_criterion_4_permutation_invariance():
@@ -238,7 +238,12 @@ def test_criterion_6_overfit_sanity(overfit_artifacts):
     first = rep.epochs[0].train_mean.total
     last = rep.epochs[-1].train_mean.total
     train_set, _ = split_dataset(corrs, 0.8, 7)
-    results = evaluate(os.path.join(root, "final.ckpt"), train_set)
+    model = load_model(os.path.join(root, "final.ckpt"))
+    results = []
+    for out, corr in zip(predict(model, train_set), train_set):
+        target = PoseTarget.from_pose(corr.gt_relative, model.normalized_e)
+        results.append((Pose(out.q, out.t), corr.gt_relative,
+                        total_loss(out.q, out.t, target, model.weights)))
     mean_dre = float(np.mean([dre(p.rotation(), g.rotation())
                               for p, g, _ in results]))
     mean_dte = float(np.mean([dte(p.t, g.t) for p, g, _ in results]))
@@ -278,8 +283,8 @@ def test_criterion_7_temporal_spacing_pipeline(tmp_path):
 
     # independent recomputation of every CSV value with inline matrix code
     _, corrs, info = load_manifest(manifest)
-    results = evaluate(root / "checkpoint.txt", corrs)
-    preds = {c.pair_id: r[0] for c, r in zip(corrs, results)}
+    outs = predict(load_model(root / "checkpoint.txt"), corrs)
+    preds = {c.pair_id: Pose(o.q, o.t) for c, o in zip(corrs, outs)}
 
     def angle_deg(c):
         return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))

@@ -99,6 +99,19 @@ def test_retired_lambda_svd_setting_exits_two(tmp_path, capsys, source):
     assert "lambda_svd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["set", "config"])
+@pytest.mark.parametrize("key,value", [("layers", "gcn:6:32,gcn:32:32"), ("pooling", "sum")])
+def test_retired_model_setting_exits_two(tmp_path, capsys, source, key, value):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[model]\n{key} = {value}\n")
+    extra = (["--set", f"model.{key}={value}"] if source == "set"
+             else ["--config", str(ini)])
+    assert run(["train"] + base_args(tmp_path, extra)) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and f"model.{key}" in err
+    assert not os.path.exists(tmp_path / "checkpoint.txt")
+
+
 class TestTrain:
     def test_checkpoint_and_report_written(self, trained_root):
         assert os.path.exists(os.path.join(trained_root, "checkpoint.txt"))
@@ -376,6 +389,40 @@ def test_malformed_file_is_format_error_with_its_line(trained_root, tmp_path, ca
     assert f"line {ln + 1}:" in err
 
 
+# (file, first line starting with this prefix, index of the field to replace)
+NON_FINITE_FIELDS = {
+    "pixel": ("dataset/pairs_s0p1/pair_00003_00004.txt", "", 0),
+    "header_cx": ("dataset/pairs_s0p1/pair_00003_00004.txt", "# epigraph-corr ", 7),
+    "gt_relative": ("dataset/pairs_s0p1/pair_00003_00004.txt", "# gt_relative ", 6),
+    "trajectory": ("dataset/trajectory.txt", "", 3),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_FIELDS))
+def test_non_finite_number_in_dataset_file_exits_three(trained_root, tmp_path, capsys,
+                                                      case, value):
+    """NaN compares False, so range checks alone let it through; every
+    number a dataset file holds must be finite."""
+    rel, prefix, field = NON_FINITE_FIELDS[case]
+    shutil.copytree(os.path.join(trained_root, "dataset"), tmp_path / "dataset")
+    lines = (tmp_path / rel).read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines)
+              if line.startswith(prefix) and (prefix or not line.startswith("#")))
+    parts = lines[ln].split()
+    parts[field] = value
+    lines[ln] = " ".join(parts)
+    (tmp_path / rel).write_text("\n".join(lines) + "\n")
+    manifest = str(tmp_path / "dataset" / "manifest_s0p1.txt")
+    rc = run(["train"] + base_args(tmp_path, [
+        "--set", "dataset.kind=files", "--set", f"dataset.manifest={manifest}"]))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"line {ln + 1}: non-finite value '{value}'" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "checkpoint.txt")
+
+
 class TestGradcheckCommand:
     def test_single_preset_ok(self, capsys):
         assert run(["gradcheck", "--presets", "GIN_SumPool"]) == 0
@@ -421,6 +468,21 @@ class TestBenchKnn:
         pairs = 12 - 1
         assert calls == [v for v in ("hard", "soft", "radius", "mutual")
                          for _ in range(pairs)]
+
+    def test_stops_at_a_pair_that_fails(self, tmp_path, capsys):
+        assert run(["generate"] + base_args(tmp_path)) == 0
+        path = tmp_path / "dataset" / "pairs_s0p1" / "pair_00004_00005.txt"
+        lines = path.read_text().splitlines()
+        matches = [ln for ln in lines[1:] if not ln.startswith("#")]
+        trailers = [ln for ln in lines[1:] if ln.startswith("#")]
+        path.write_text("\n".join([lines[0], *matches[:7], *trailers]) + "\n")
+        manifest = str(tmp_path / "dataset" / "manifest_s0p1.txt")
+        rc = run(["bench-knn"] + base_args(tmp_path, [
+            "--set", "dataset.kind=files", "--set", f"dataset.manifest={manifest}",
+            "--epochs", "1"]))
+        assert rc == 2
+        assert "error: need >= 8 correspondences, got 7" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "knn_bench.csv")
 
 
 def test_usage_error_exits_two():

@@ -85,15 +85,6 @@ def test_unknown_section_and_key(tmp_path):
         parse_config(path)
 
 
-def test_preset_layers_conflict():
-    with pytest.raises(ConfigError):
-        parse_config(None, overrides=["model.layers=gcn:6:32,gcn:32:32"])
-    # clearing the preset makes the explicit stack valid
-    cfg = parse_config(None, overrides=["model.preset=",
-                                        "model.layers=gcn:6:32,gcn:32:32"])
-    assert [s.kind for s in cfg.model_config().layers] == ["gcn", "gcn"]
-
-
 def test_bad_override_forms():
     with pytest.raises(ConfigError):
         parse_config(None, overrides=["train.lr"])
@@ -106,7 +97,7 @@ def test_bad_override_forms():
 
 
 def test_unknown_names_rejected():
-    for bad in ("model.preset=MegaNet", "graph.variant=fuzzy",
+    for bad in ("model.preset=MegaNet", "model.preset=", "graph.variant=fuzzy",
                 "eval.baseline=fivepoint", "dataset.motion=teleport"):
         with pytest.raises(ConfigError):
             parse_config(None, overrides=[bad])
@@ -117,7 +108,7 @@ UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
               "graph.e0_m=4", "graph.e0_iters=-1",
               "graph.radius=0", "train.epochs=0",
               "train.lr=0", "train.lr=-1", "train.lr=nan", "train.lr=inf",
-              "train.batch_size=0",
+              "train.batch_size=0", "model.hidden=0",
               "loss.lambda_pose=nan", "loss.lambda_frob=inf", "loss.lambda_yaw=-1",
               "dataset.n_points=7", "dataset.noise_px=-1", "dataset.noise_px=nan",
               "dataset.noise_px=inf", "dataset.sequence=", "dataset.sequence=a b",
@@ -178,15 +169,6 @@ def test_missing_manifest_is_config_error(tmp_path):
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         parse_config("/no/such/config.ini")
-
-
-def test_bad_layer_spec():
-    with pytest.raises(ConfigError):
-        parse_config(None, overrides=["model.preset=",
-                                      "model.layers=gcn:6"])
-    with pytest.raises(ConfigError):
-        parse_config(None, overrides=["model.preset=",
-                                      "model.layers=warp:6:32"])
 
 
 finite_weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)

@@ -71,6 +71,11 @@ class TestQuatToRot:
         with pytest.raises(InvalidInputError):
             quat_to_rot([0, 0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="not finite"):
+            geom.normalize_quat([1.0, 0.0, bad, 0.0])
+
 
 class TestRotToQuat:
     def test_identity(self):

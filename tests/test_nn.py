@@ -23,7 +23,7 @@ from epigraph.train import TrainConfig, _ckpt_meta, graph_params_from_meta, weig
 
 # one layer of every kind
 EVERY_KIND = (nn.LayerSpec("gcn", 6, 8), nn.LayerSpec("gat", 8, 8, heads=2),
-              nn.LayerSpec("gin", 8, 8), nn.LayerSpec("linear", 8, 8))
+              nn.LayerSpec("gin", 8, 8))
 
 
 def random_edges(rng, n, degree):
@@ -116,8 +116,8 @@ class TestGCN:
         b = rng.normal(size=3)
         A_tilde = gt.adj + np.eye(5)
         D = np.diag(1.0 / np.sqrt(A_tilde.sum(axis=1)))
-        expect = np.tanh(D @ A_tilde @ D @ gt.x @ W + b)
-        Y, _ = nn.gcn_forward(gt.x, gt, W, b, "tanh")
+        expect = np.maximum(D @ A_tilde @ D @ gt.x @ W + b, 0.0)
+        Y, _ = nn.gcn_forward(gt.x, gt, W, b, "relu")
         assert np.abs(Y - expect).max() < 1e-12
 
     def test_weighted_adjacency_enters_normalization(self):
@@ -167,7 +167,7 @@ def dense_gat_forward(H, gt, W, a_src, a_dst, b, activation="none"):
     out = np.einsum("hij,hjd->hid", alpha, Z)
     P = out.transpose(1, 0, 2).reshape(n, heads * dh) + b
     Y = nn._act(P, activation)
-    return Y, {"H": H, "Z": Z, "raw": raw, "alpha": alpha, "P": P, "Y": Y,
+    return Y, {"H": H, "Z": Z, "raw": raw, "alpha": alpha, "P": P,
                "W": W, "a_src": a_src, "a_dst": a_dst, "act": activation}
 
 
@@ -175,7 +175,7 @@ def dense_gat_backward(dY, cache, gt):
     H, Z, raw, alpha = cache["H"], cache["Z"], cache["raw"], cache["alpha"]
     W, a_src, a_dst = cache["W"], cache["a_src"], cache["a_dst"]
     heads, n, dh = Z.shape
-    dP = nn._act_back(dY, cache["P"], cache["Y"], cache["act"])
+    dP = nn._act_back(dY, cache["P"], cache["act"])
     db = dP.sum(axis=0)
     G = dP.reshape(n, heads, dh).transpose(1, 0, 2)
     dalpha = np.einsum("hid,hjd->hij", G, Z)
@@ -450,7 +450,7 @@ class TestLayerTable:
     def test_layer_calls_go_through_module_globals(self, monkeypatch):
         # a tracer rebinds nn.<kind>_forward / _backward; every layer call must
         # reach the rebound name, so the dispatch may not hold function objects
-        names = [f"{kind}_{step}" for kind in ("gcn", "gat", "gin", "linear")
+        names = [f"{kind}_{step}" for kind in nn.LAYER_KINDS
                  for step in ("forward", "backward")]
         calls = dict.fromkeys(names, 0)
         for name in names:
@@ -475,7 +475,7 @@ class TestLayerTable:
         params = nn.init_params(cfg, seed=3)
         assert list(params.tensors) == [
             "L0.W", "L0.b", "L1.W", "L1.a_src", "L1.a_dst", "L1.b",
-            "L2.eps", "L2.W1", "L2.b1", "L2.W2", "L2.b2", "L3.W", "L3.b",
+            "L2.eps", "L2.W1", "L2.b1", "L2.W2", "L2.b2",
             "mlp1.W", "mlp1.b", "head_t.W", "head_t.b", "head_q.W", "head_q.b"]
         rng = np.random.default_rng(3)
 
@@ -486,7 +486,7 @@ class TestLayerTable:
         drawn = {"L0.W": glorot(6, 8, (6, 8)), "L1.W": glorot(8, 4, (2, 8, 4)),
                  "L1.a_src": glorot(8, 1, (2, 4)), "L1.a_dst": glorot(8, 1, (2, 4)),
                  "L2.W1": glorot(8, 8, (8, 8)), "L2.W2": glorot(8, 8, (8, 8)),
-                 "L3.W": glorot(8, 8, (8, 8)), "mlp1.W": glorot(8, 8, (8, 8)),
+                 "mlp1.W": glorot(8, 8, (8, 8)),
                  "head_t.W": glorot(8, 4, (8, 4)), "head_q.W": glorot(8, 4, (8, 4))}
         for name, tensor in params.tensors.items():
             expect = drawn.get(name, np.zeros(tensor.shape))
@@ -693,6 +693,28 @@ class TestConfigObjects:
     def test_dim_chain_validated(self):
         with pytest.raises(ShapeError):
             nn.ModelConfig((nn.LayerSpec("gcn", 6, 64), nn.LayerSpec("gcn", 32, 64)))
+
+    def test_only_preset_kinds_and_nonempty_stacks(self):
+        assert nn.LAYER_KINDS == ("gcn", "gat", "gin")
+        assert nn.ACTIVATIONS == ("relu", "none")
+        with pytest.raises(InvalidInputError, match="linear"):
+            nn.LayerSpec("linear", 6, 8)
+        with pytest.raises(InvalidInputError, match="tanh"):
+            nn.LayerSpec("gcn", 6, 8, activation="tanh")
+        with pytest.raises(InvalidInputError, match="at least one"):
+            nn.ModelConfig(())
+
+    def test_layerless_checkpoint_is_format_error(self, tmp_path):
+        from epigraph.errors import FormatError
+        cfg = nn.preset_config("GIN_SumPool", hidden=4)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, nn.init_params(cfg, 0), cfg, {})
+        lines = path.read_text().splitlines()
+        assert lines[1] == "config layers gin:6:4:1:relu,gin:4:4:1:relu"
+        lines[1] = "config layers none"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 2:"):
+            nn.load_checkpoint(path)
 
 
 class TestForwardEmbeddings:

@@ -199,6 +199,9 @@ class TestGenerateTrajectory:
             generate_trajectory(0, 1, "forward")
         with pytest.raises(InvalidInputError):
             generate_trajectory(0, 5, "teleport")
+        for fps in (0.0, -1.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="frame rate"):
+                generate_trajectory(0, 5, "forward", fps=fps)
 
 
 class TestSamplePairs:
@@ -343,6 +346,16 @@ class TestCorrespondenceSetValidation:
         with pytest.raises(ValidationError):
             CorrespondenceSet(np.array([[10.0, 10.0]]), np.array([[1.0, 1.0]]),
                               np.array([1.5]), Intrinsics(500, 500, 320, 240))
+
+    @pytest.mark.parametrize("where", ["p1", "p2", "confidence"])
+    def test_nan_rejected(self, where):
+        # NaN compares False against every bound, so each check must fail on it
+        arrays = {"p1": np.array([[10.0, 10.0]]), "p2": np.array([[1.0, 1.0]]),
+                  "confidence": np.array([0.5])}
+        arrays[where].flat[0] = np.nan
+        with pytest.raises(ValidationError):
+            CorrespondenceSet(arrays["p1"], arrays["p2"], arrays["confidence"],
+                              Intrinsics(500, 500, 320, 240))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,6 @@ from epigraph.synth import CorrespondenceSet, generate_scene
 from epigraph.train import (
     EpochStats,
     TrainConfig,
-    evaluate,
     graph_params_from_meta,
     load_model,
     predict,
@@ -175,8 +174,8 @@ class TestTrainLoop:
         data = tiny_dataset(4, seed=42)
         assert len({c.pair_id for c in data}) == 1
         train(tiny_config(epochs=1, seed=0), data, tmp_path / "c.txt")
-        res = evaluate(tmp_path / "c.txt", data)
-        qs = {tuple(p.q) for p, _, _ in res}
+        res = predict(load_model(tmp_path / "c.txt"), data)
+        qs = {tuple(out.q) for out in res}
         assert len(qs) == len(data)
 
 
@@ -184,16 +183,17 @@ class TestEvaluate:
     def test_idempotent(self, tmp_path):
         data = tiny_dataset(6, seed=500)
         train(tiny_config(seed=6), data, tmp_path / "h.txt")
-        r1 = evaluate(tmp_path / "h.txt", data)
-        r2 = evaluate(tmp_path / "h.txt", data)
-        for (p1, g1, b1), (p2, g2, b2) in zip(r1, r2):
-            assert np.array_equal(p1.q, p2.q) and np.array_equal(p1.t, p2.t)
-            assert b1.total == b2.total
+        r1 = predict(load_model(tmp_path / "h.txt"), data)
+        r2 = predict(load_model(tmp_path / "h.txt"), data)
+        assert len(r1) == len(r2) == len(data)
+        for o1, o2 in zip(r1, r2):
+            assert np.array_equal(o1.q, o2.q) and np.array_equal(o1.t_dir, o2.t_dir)
+            assert o1.t_raw == o2.t_raw
 
     def test_empty_dataset_empty_result(self, tmp_path):
         data = tiny_dataset(6, seed=600)
         train(tiny_config(seed=7), data, tmp_path / "i.txt")
-        assert evaluate(tmp_path / "i.txt", []) == []
+        assert predict(load_model(tmp_path / "i.txt"), []) == []
 
     def test_meta_round_trip_helpers(self, tmp_path):
         default = GraphParams()
@@ -223,7 +223,7 @@ class TestEvaluate:
         text = [ln for ln in text if not ln.startswith("meta graph.")]
         (tmp_path / "broken.txt").write_text("\n".join(text) + "\n")
         with pytest.raises(SchemaVersionError):
-            evaluate(tmp_path / "broken.txt", data)
+            load_model(tmp_path / "broken.txt")
 
     def test_predict_keeps_each_pairs_error(self, tmp_path):
         data = tiny_dataset(6, seed=1000)
@@ -233,10 +233,9 @@ class TestEvaluate:
         res = predict(model, [data[0], bad, data[1]])
         assert isinstance(res[0], nn.ModelOutput) and isinstance(res[2], nn.ModelOutput)
         assert isinstance(res[1], InsufficientCorrespondencesError)
-        for out, (pose, _, _) in zip(res[::2], evaluate(tmp_path / "m.txt", data[:2])):
-            assert np.array_equal(Pose(out.q, out.t).q, pose.q)
-        with pytest.raises(InsufficientCorrespondencesError):
-            evaluate(tmp_path / "m.txt", [data[0], bad])
+        # a pair's result does not depend on the pairs around it
+        for out, alone in zip(res[::2], predict(model, data[:2])):
+            assert np.array_equal(out.q, alone.q) and np.array_equal(out.t, alone.t)
 
 
 def test_write_report_deterministic(tmp_path):
