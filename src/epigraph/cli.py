@@ -323,15 +323,20 @@ def cmd_gradcheck(presets, tolerance: float, corrupt: str | None, seed: int) -> 
         report = nn.grad_check(config, gtensors, target,
                                seed=subseed(seed, "gradcheck", name),
                                tolerance=tolerance, corrupt=corrupt)
-        by_term: dict[str, float] = {}
+        by_term: dict[str, tuple[float, bool]] = {}
         for entry in report:
-            by_term[entry.term] = max(by_term.get(entry.term, 0.0), entry.rel_err)
+            worst, ok = by_term.get(entry.term, (0.0, True))
+            by_term[entry.term] = (max(worst, entry.rel_err), ok and entry.ok)
             if not entry.ok:
                 failures += 1
             rows += 1
-        for term, worst in by_term.items():
-            status = "ok" if worst < tolerance else "FAIL"
-            print(f"{name:12s} {term:8s} max_rel_err {worst:.3e} {status}")
+        for term, (worst, ok) in by_term.items():
+            print(f"{name:12s} {term:8s} max_rel_err {worst:.3e} {'ok' if ok else 'FAIL'}")
+        # each tensor's kink counts repeat in every term's entry
+        kinked = {e.tensor: (e.one_sided, e.two_sided) for e in report}.values()
+        one, two = sum(k[0] for k in kinked), sum(k[1] for k in kinked)
+        if one or two:
+            print(f"{name:12s} kinked probes: {one} one-sided, {two} on both sides")
     if rows == 0:
         print("empty report")
     return 1 if failures else 0

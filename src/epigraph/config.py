@@ -52,6 +52,13 @@ class DatasetSection:
         # the eight-point solve and every E0 draw need at least 8 matches
         if self.n_points < 8:
             raise InvalidInputError(f"dataset.n_points must be >= 8, got {self.n_points!r}")
+        # the generator rounds and draws with these; nan or inf ends in a raw numpy error
+        for name in ("fps", "depth_min", "depth_max", "step_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(
+                    f"dataset.{name} must be finite, got {getattr(self, name)!r}")
+        if not all(map(math.isfinite, self.spacings)):
+            raise InvalidInputError(f"dataset.spacings must be finite, got {self.spacings!r}")
         # the generator adds noise only when noise_px > 0
         if not (math.isfinite(self.noise_px) and self.noise_px >= 0):
             raise InvalidInputError(

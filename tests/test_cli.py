@@ -345,6 +345,19 @@ class TestCheckpointMeta:
             outputs.append(dir_snapshot(os.path.join(trained_root, out_dir)))
         assert outputs[0] and outputs[0] == outputs[1]
 
+    # the first value of head_q.b's tensor, m and v lines
+    @pytest.mark.parametrize("offset,value", [(1, "nan"), (2, "inf"), (3, "-inf")])
+    def test_non_finite_tensor_value(self, trained_root, tmp_path, capsys, offset, value):
+        lines = open(os.path.join(trained_root, "checkpoint.txt")).read().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("tensor head_q.b ")) + offset
+        lines[at] = " ".join([value] + lines[at].split()[1:])
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        assert self.run_with("eval", trained_root, str(ckpt), tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"line {at + 1}: non-finite value for tensor head_q.b" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
     def test_non_numeric_k(self, trained_root, tmp_path, capsys, command):
         ckpt = self.rewrite(trained_root, tmp_path,
@@ -428,6 +441,13 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--presets", "GIN_SumPool"]) == 0
         out = capsys.readouterr().out
         assert "GIN_SumPool" in out and "FAIL" not in out
+
+    def test_kinks_at_seed_5_take_one_sided_differences(self, capsys):
+        # two GIN_SumPool probes at seed 5 cross a ReLU kink on one side
+        assert run(["gradcheck", "--presets", "GIN_SumPool", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "GIN_SumPool  kinked probes: 2 one-sided, 0 on both sides\n" in out
 
     def test_corruption_exits_one(self, capsys):
         assert run(["gradcheck", "--presets", "GIN_SumPool",

@@ -112,7 +112,10 @@ UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
               "loss.lambda_pose=nan", "loss.lambda_frob=inf", "loss.lambda_yaw=-1",
               "dataset.n_points=7", "dataset.noise_px=-1", "dataset.noise_px=nan",
               "dataset.noise_px=inf", "dataset.sequence=", "dataset.sequence=a b",
-              "dataset.sequence=a\tb", "dataset.sequence=a\udcffb"]
+              "dataset.sequence=a\tb", "dataset.sequence=a\udcffb",
+              "dataset.spacings=nan", "dataset.spacings=0.1,inf", "dataset.depth_min=nan",
+              "dataset.depth_max=nan", "dataset.depth_max=inf", "dataset.fps=inf",
+              "dataset.fps=nan", "dataset.step_m=nan", "dataset.step_m=-inf"]
 
 
 @pytest.mark.parametrize("override", UNRUNNABLE)

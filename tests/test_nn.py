@@ -60,7 +60,7 @@ def tuple_path_tensors(g):
 
 
 class TestGraphTensorsFromEdgeArrays:
-    FIELDS = ("adj", "a_hat", "rows", "cols", "row_starts", "col_order", "col_starts")
+    FIELDS = ("adj", "a_hat", "rows", "cols", "row_starts", "flat")
 
     def assert_bitwise(self, gt, ref):
         for name in self.FIELDS:
@@ -222,9 +222,17 @@ class TestGAT:
         rows, cols = np.nonzero(attention_mask(gt))
         assert np.array_equal(gt.rows, rows) and np.array_equal(gt.cols, cols)
         assert np.array_equal(gt.row_starts, np.searchsorted(rows, np.arange(9)))
-        by_col = gt.cols[gt.col_order]
-        assert np.all(np.diff(by_col) >= 0)
-        assert np.array_equal(gt.col_starts, np.searchsorted(by_col, np.arange(9)))
+
+    @pytest.mark.parametrize("n", [1, 9, 80])
+    def test_flat_index_is_row_major(self, n):
+        gt = random_graph(32, n=n, feat_dim=3, degree=min(3, n - 1))
+        assert gt.flat.dtype == np.intp
+        assert np.array_equal(gt.flat, gt.rows * n + gt.cols)
+        assert np.array_equal(gt.flat, np.ravel_multi_index((gt.rows, gt.cols), (n, n)))
+        assert np.all(np.diff(gt.flat) > 0)
+        dense = np.zeros(n * n, dtype=bool)
+        dense[gt.flat] = True
+        assert np.array_equal(dense.reshape(n, n), attention_mask(gt))
 
     @pytest.mark.parametrize("case", [
         dict(n=1, heads=4), dict(n=12, heads=4), dict(n=80, heads=1),
@@ -233,6 +241,8 @@ class TestGAT:
         dict(n=12, heads=4, directed=True), dict(n=80, heads=4, directed=True),
         dict(n=12, heads=1, isolated=True), dict(n=80, heads=4, isolated=True,
                                                  directed=True),
+        # from these sizes on, the dense message sums are slower than edge-list ones
+        dict(n=300, heads=4), dict(n=500, heads=4),
     ])
     def test_edge_list_matches_dense_oracle(self, case):
         n, heads = case["n"], case["heads"]
@@ -539,6 +549,50 @@ class TestGradCheck:
         bad = [e for e in report if e.tensor == "mlp1.b"]
         assert bad and any(not e.ok for e in bad)
 
+    @pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+    def test_corruption_fails_every_preset(self, preset):
+        report = nn.grad_check(nn.preset_config(preset, hidden=8), random_graph(25, n=8),
+                               random_target(5), seed=4, corrupt="mlp1.b")
+        assert not all(e.ok for e in report if e.tensor == "mlp1.b")
+
+    @staticmethod
+    def kinked_model():
+        """A one-layer model, its graph, and its mlp1 pre-activations.  The
+        heads' biases keep the outputs nonzero when mlp1's outputs are."""
+        cfg = nn.ModelConfig((nn.LayerSpec("gcn", 6, 2),), hidden=2)
+        params = nn.init_params(cfg, seed=5)
+        params.tensors["head_t.b"][:] = params.tensors["head_q.b"][:] = 0.5
+        gt = random_graph(26, n=5)
+        _, cache = nn.model_forward(gt, params, cfg)
+        return cfg, params, gt, cache["m_pre"]
+
+    def test_one_sided_difference_where_a_probe_straddles_a_kink(self):
+        # mlp1's first pre-activation sits at 3e-7, inside the 1e-6 probe
+        # step: the -h forward of mlp1.b[0] crosses the ReLU kink, and the
+        # central difference would average the slopes of both sides
+        cfg, params, gt, m_pre = self.kinked_model()
+        params.tensors["mlp1.b"][0] -= m_pre[0] - 3e-7
+        report = nn.grad_check(cfg, gt, random_target(4), params=params)
+        assert all(e.ok for e in report), max(e.rel_err for e in report)
+        assert max(e.rel_err for e in report) < 1e-5
+        kinked = [e for e in report if e.tensor == "mlp1.b"]
+        assert kinked and all(e.one_sided == 1 and e.two_sided == 0 for e in kinked)
+
+    def test_kink_crossed_on_both_sides_fails(self):
+        cfg, params, gt, m_pre = self.kinked_model()
+        h, b = 1e-6, params.tensors["L0.b"]
+        orig = b[1]
+        b[1] = orig + h
+        _, plus = nn.model_forward(gt, params, cfg)
+        b[1] = orig
+        slope = (plus["m_pre"] - m_pre) / h
+        assert np.all(np.abs(slope) > 0.01)
+        # the -h probe of L0.b[1] moves m_pre[0] across 0, the +h probe m_pre[1]
+        params.tensors["mlp1.b"] += np.array([0.5, -0.5]) * h * slope - m_pre
+        report = nn.grad_check(cfg, gt, random_target(4), params=params)
+        kinked = [e for e in report if e.tensor == "L0.b"]
+        assert kinked and all(e.two_sided == 1 and not e.ok for e in kinked)
+
     def test_one_loss_evaluation_per_probe_forward(self, monkeypatch):
         from epigraph import losses
 
@@ -634,6 +688,8 @@ class TestCheckpoint:
 EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
                1.7976931348623157e308)
 any_float = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+# a checkpoint refuses a tensor value that is not finite
+finite_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
 finite_weight = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
@@ -656,7 +712,7 @@ def test_checkpoint_round_trip_is_bitwise(data, preset, step, weights, gp, norma
     params = nn.init_params(cfg)
     for store in (params.tensors, params.m, params.v):
         for name, ref in list(store.items()):
-            store[name] = data.draw(arrays(np.float64, ref.shape, elements=any_float))
+            store[name] = data.draw(arrays(np.float64, ref.shape, elements=finite_float))
     params.step = step
     meta = _ckpt_meta(TrainConfig(cfg, graph=gp, weights=weights,
                                   normalized_e=normalized_e), epoch, val_total)
