@@ -18,7 +18,7 @@ from . import nn
 from .errors import ConfigError, InvalidInputError
 from .graph import GraphParams
 from .losses import LossWeights
-from .synth import Intrinsics, _fmt
+from .synth import SCENE_MARGIN_PX, Intrinsics, _fmt
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,19 @@ class DatasetSection:
         # the eight-point solve and every E0 draw need at least 8 matches
         if self.n_points < 8:
             raise InvalidInputError(f"dataset.n_points must be >= 8, got {self.n_points!r}")
-        # the generator rounds and draws with these; nan or inf ends in a raw numpy error
-        for name in ("fps", "depth_min", "depth_max", "step_m"):
+        # the generator rounds, draws and projects with these; nan or inf ends in a
+        # raw numpy error or in an error that names neither the field nor the cause
+        for name in ("fps", "depth_min", "depth_max", "step_m", "fx", "fy", "cx", "cy"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(
                     f"dataset.{name} must be finite, got {getattr(self, name)!r}")
+        # the generator draws view-1 pixels inside a margin on every side
+        for name in ("width", "height"):
+            if not getattr(self, name) > 2 * SCENE_MARGIN_PX:
+                raise InvalidInputError(
+                    f"dataset.{name} must be > {2 * SCENE_MARGIN_PX:g} pixels (a "
+                    f"{SCENE_MARGIN_PX:g}-pixel margin on each side), "
+                    f"got {getattr(self, name)!r}")
         if not all(map(math.isfinite, self.spacings)):
             raise InvalidInputError(f"dataset.spacings must be finite, got {self.spacings!r}")
         # the generator adds noise only when noise_px > 0

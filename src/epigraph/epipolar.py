@@ -252,14 +252,15 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
                 seed: int = 0) -> np.ndarray:
     """Initial essential estimate from a minimal high-confidence subset.
 
-    Seeds with the m most confident correspondences, then draws ``iters``
-    random m-subsets.  The 1 + iters subsets, a (1 + iters, m, 3) stack of
-    points per image, are solved in one stacked ``solve_eight_point``
-    call, and every solvable candidate is scored by its Sampson inlier
-    count at threshold tau over the whole set, all at once as a
-    (1 + iters, N) distance array.  The first candidate with the most
-    inliers is returned, so the confidence-seeded one wins ties.
-    Deterministic given the seed.
+    Seeds with the m most confident correspondences and scores that
+    candidate by its Sampson inlier count at threshold tau over the whole
+    set.  If every match is an inlier it is returned at once: no later
+    candidate could beat it, and no random subset is drawn.  Otherwise
+    ``iters`` random m-subsets are drawn, solved in one stacked
+    ``solve_eight_point`` call as an (iters, m, 3) stack of points per
+    image, and scored all at once as an (iters, N) distance array.  The
+    first of the 1 + iters candidates with the most inliers is returned,
+    so the confidence-seeded one wins ties.  Deterministic given the seed.
     """
     X1, X2 = corr.normalized_points()
     n = len(X1)
@@ -271,11 +272,19 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
     conf = np.asarray(corr.confidences(), dtype=float)
     # stable top-m by confidence, ties by original index
     order = np.lexsort((np.arange(n), -conf))
-    rng = np.random.default_rng(seed)
-    subsets = np.stack([order[:m]] + [rng.choice(n, size=m, replace=False)
-                                      for _ in range(iters)])
-    E, ok = solve_eight_point((X1[subsets], X2[subsets]))
+
+    def solve_and_score(subsets):
+        E, ok = solve_eight_point((X1[subsets], X2[subsets]))
+        return E, ok, np.where(ok, (sampson_distances(X1, X2, E) < tau).sum(axis=1), -1)
+
+    E, ok, counts = solve_and_score(order[None, :m])
+    if counts[0] == n:
+        return E[0]
+    if iters > 0:
+        rng = np.random.default_rng(seed)
+        drawn = solve_and_score(np.stack([rng.choice(n, size=m, replace=False)
+                                          for _ in range(iters)]))
+        E, ok, counts = (np.concatenate(pair) for pair in zip((E, ok, counts), drawn))
     if not ok.any():
         raise DegenerateGeometryError("no candidate subset yielded a solvable system")
-    counts = np.where(ok, (sampson_distances(X1, X2, E) < tau).sum(axis=1), -1)
     return E[np.argmax(counts)]

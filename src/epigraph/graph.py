@@ -209,7 +209,8 @@ def build_graph(corr, params: GraphParams = GraphParams(),
         E0 = np.asarray(E0, dtype=float)
 
     kept = sampson_filter(corr, E0, params.tau)
-    coords = X1[kept]
+    # the homogeneous third coordinate is 1 everywhere and adds nothing to a distance
+    coords = X1[kept, :2]
 
     radius = params.radius
     with warnings.catch_warnings(record=True) as caught:

@@ -15,6 +15,7 @@ externally serialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -30,7 +31,6 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .synth import _fmt
 
 ACTIVATIONS = ("relu", "none")
 POOLINGS = ("mean", "sum")
@@ -110,20 +110,44 @@ def preset_config(name: str, hidden: int = 64) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 class ModelParams:
-    """Named tensors with paired Adam moment buffers."""
+    """Named tensors with paired Adam moment buffers.
+
+    The tensors, the first moments ``m`` and the second moments ``v`` each
+    live in one contiguous float vector (``flat``, ``flat_m``, ``flat_v``).
+    The three dicts hold reshaped views into those vectors, keyed and
+    ordered like the tensors passed in, so Adam updates every tensor in a
+    few whole-vector operations.  Write into a view to change a tensor:
+    assigning a new array to a dict key detaches it from its vector.
+    """
 
     def __init__(self, tensors: dict[str, np.ndarray]):
-        self.tensors = {k: np.asarray(v, dtype=float) for k, v in tensors.items()}
-        self.m = {k: np.zeros_like(v) for k, v in self.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in self.tensors.items()}
-        self.step = 0
+        arrays = {k: np.asarray(v, dtype=float) for k, v in tensors.items()}
+        self._shapes = {k: a.shape for k, a in arrays.items()}
+        flat = np.concatenate([np.zeros(0), *(a.ravel() for a in arrays.values())])
+        self._bind(flat, np.zeros_like(flat), np.zeros_like(flat), 0)
+
+    def _bind(self, flat, flat_m, flat_v, step) -> None:
+        self.flat, self.flat_m, self.flat_v = flat, flat_m, flat_v
+        self.tensors, self.m, self.v = (self._views(x) for x in (flat, flat_m, flat_v))
+        self.step = step
+
+    def _views(self, vec) -> dict[str, np.ndarray]:
+        out, start = {}, 0
+        for k, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[k] = vec[start:start + size].reshape(shape)
+            start += size
+        return out
+
+    def pack(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """One flat vector of ``grads``, keyed like the tensors, in their order."""
+        return np.concatenate([np.zeros(0), *(np.ravel(grads[k]) for k in self._shapes)])
 
     def copy(self) -> ModelParams:
         """Independent copy of the tensors, Adam moments and step."""
-        out = ModelParams({k: v.copy() for k, v in self.tensors.items()})
-        out.m = {k: v.copy() for k, v in self.m.items()}
-        out.v = {k: v.copy() for k, v in self.v.items()}
-        out.step = self.step
+        out = object.__new__(ModelParams)
+        out._shapes = self._shapes
+        out._bind(self.flat.copy(), self.flat_m.copy(), self.flat_v.copy(), self.step)
         return out
 
 
@@ -525,20 +549,35 @@ def forward_embeddings(gt: GraphTensors, params: ModelParams, config: ModelConfi
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float = 1e-4,
+def adam_step(params: ModelParams, grads, lr: float = 1e-4,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Standard bias-corrected Adam update from ``grads``, keyed like the tensors."""
+    """Standard bias-corrected Adam update from ``grads``: a dict keyed like
+    the tensors, or a vector laid out like ``params.flat``.
+
+    Runs in place over the flat vectors, in the elementwise order of
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``theta -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
+    """
+    g = grads if isinstance(grads, np.ndarray) else params.pack(grads)
     params.step += 1
     t = params.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for k, theta in params.tensors.items():
-        g = grads[k]
-        params.m[k] = beta1 * params.m[k] + (1.0 - beta1) * g
-        params.v[k] = beta2 * params.v[k] + (1.0 - beta2) * g * g
-        m_hat = params.m[k] / c1
-        v_hat = params.v[k] / c2
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = params.flat_m, params.flat_v
+    tmp = np.multiply(1.0 - beta1, g)
+    m *= beta1
+    m += tmp
+    np.multiply(1.0 - beta2, g, out=tmp)
+    tmp *= g
+    v *= beta2
+    v += tmp
+    den = np.divide(v, c2)
+    np.sqrt(den, out=den)
+    den += eps
+    np.divide(m, c1, out=tmp)
+    tmp *= lr
+    tmp /= den
+    params.flat -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +616,9 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
     for name, tensor in params.tensors.items():
         shape = " ".join(str(d) for d in tensor.shape)
         lines.append(f"tensor {name} {tensor.ndim}{(' ' + shape) if shape else ''}")
-        lines.append(" ".join(_fmt(v) for v in np.ravel(tensor)))
-        lines.append(" ".join(_fmt(v) for v in np.ravel(params.m[name])))
-        lines.append(" ".join(_fmt(v) for v in np.ravel(params.v[name])))
+        # repr of a Python float is the shortest round-tripping decimal (``_fmt``)
+        for a in (tensor, params.m[name], params.v[name]):
+            lines.append(" ".join(map(repr, np.ravel(a).tolist())))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -657,8 +696,9 @@ def load_checkpoint(path):
             raise FormatError(f"tensor {name} has shape {tensors[name].shape}, "
                               f"its config needs {ref.shape}")
     params = ModelParams(tensors)
-    params.m = ms
-    params.v = vs
+    for name in tensors:
+        params.m[name][...] = ms[name]
+        params.v[name][...] = vs[name]
     params.step = step
     return params, config, meta
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     EmptySamplingError,
+    EpigraphError,
     FormatError,
     InvalidInputError,
     SchemaVersionError,
@@ -150,6 +151,10 @@ class PairSample:
 # Generators
 # ---------------------------------------------------------------------------
 
+# generate_scene draws view-1 pixels at least this far inside the image border
+SCENE_MARGIN_PX = 2.0
+
+
 def generate_scene(seed, n_points: int, depth_range, pose: Pose,
                    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
                    noise_px: float = 0.0, outlier_fraction: float = 0.0,
@@ -177,7 +182,7 @@ def generate_scene(seed, n_points: int, depth_range, pose: Pose,
     R = pose.rotation()
     t = pose.t
 
-    margin = 2.0
+    margin = SCENE_MARGIN_PX
     p1 = np.empty((n_points, 2))
     p2 = np.empty((n_points, 2))
     accepted = 0
@@ -312,7 +317,33 @@ def _numbers(fields, ln: int) -> list[float]:
     return vals
 
 
+def _read_trailer(line: str, ln: int, gt, pair_id):
+    """(gt, pair_id) after the ``#`` trailer ``line`` (line number ``ln``)."""
+    parts = line.split()
+    try:
+        if parts[:2] == ["#", "gt_relative"]:
+            if len(parts) != 9:
+                raise FormatError("gt_relative needs qw qx qy qz tx ty tz", line=ln)
+            vals = np.array(_numbers(parts[2:], ln))
+            gt = Pose(vals[:4], vals[4:])
+            # normalizing a saved unit quaternion again can move its last bit
+            if np.abs(gt.q - vals[:4]).max() <= 4 * np.finfo(float).eps:
+                object.__setattr__(gt, "q", vals[:4])
+        elif parts[:2] == ["#", "pair_id"]:
+            if len(parts) != 5:
+                raise FormatError("pair_id needs sequence i j", line=ln)
+            pair_id = (parts[2], int(parts[3]), int(parts[4]))
+        else:
+            what = parts[1] if len(parts) > 1 else line
+            raise FormatError(f"unknown trailer {what!r}", line=ln)
+    except ValueError as e:
+        raise FormatError(f"bad {parts[1]} value: {e}", line=ln) from None
+    return gt, pair_id
+
+
 def load_correspondences(path) -> CorrespondenceSet:
+    """Read a correspondence file; the first bad line, in file order,
+    raises FormatError or ValidationError naming it."""
     with open(path) as f:
         raw = f.read().splitlines()
     if not raw or not raw[0].startswith(CORR_HEADER):
@@ -326,48 +357,47 @@ def load_correspondences(path) -> CorrespondenceSet:
         raise FormatError(f"bad header value: {e}", line=1) from None
     fx, fy, cx, cy = _numbers(head[5:9], 1)
 
-    p1, p2, conf = [], [], []
+    # Data lines are split here and converted in bulk below.  A bad trailer
+    # or field count ends the scan and is raised only if no data line
+    # before it is bad.
+    rows, row_lines = [], []
+    pending = None
     gt = None
     pair_id = ("pair", 0, 1)
     for ln, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line.split()
-            try:
-                if parts[:2] == ["#", "gt_relative"]:
-                    if len(parts) != 9:
-                        raise FormatError("gt_relative needs qw qx qy qz tx ty tz", line=ln)
-                    vals = np.array(_numbers(parts[2:], ln))
-                    gt = Pose(vals[:4], vals[4:])
-                    # normalizing a saved unit quaternion again can move its last bit
-                    if np.abs(gt.q - vals[:4]).max() <= 4 * np.finfo(float).eps:
-                        object.__setattr__(gt, "q", vals[:4])
-                elif parts[:2] == ["#", "pair_id"]:
-                    if len(parts) != 5:
-                        raise FormatError("pair_id needs sequence i j", line=ln)
-                    pair_id = (parts[2], int(parts[3]), int(parts[4]))
-                else:
-                    what = parts[1] if len(parts) > 1 else line
-                    raise FormatError(f"unknown trailer {what!r}", line=ln)
-            except ValueError as e:
-                raise FormatError(f"bad {parts[1]} value: {e}", line=ln) from None
-            continue
-        fields = line.split()
-        if len(fields) != 5:
-            raise FormatError(f"expected 5 fields, got {len(fields)}", line=ln)
+        try:
+            if line.startswith("#"):
+                gt, pair_id = _read_trailer(line, ln, gt, pair_id)
+                continue
+            fields = line.split()
+            if len(fields) != 5:
+                raise FormatError(f"expected 5 fields, got {len(fields)}", line=ln)
+        except EpigraphError as e:
+            pending = e
+            break
+        rows.append(fields)
+        row_lines.append(ln)
+
+    try:
+        data = np.array([float(v) for fields in rows for v in fields]).reshape(-1, 5)
+        ok = np.isfinite(data).all(axis=1) & (data[:, 4] >= 0.0) & (data[:, 4] <= 1.0)
+        first = len(rows) if ok.all() else int(np.argmin(ok))
+    except ValueError:
+        first = 0
+    # the line-by-line checks from the first suspect row on raise its error
+    for fields, ln in zip(rows[first:], row_lines[first:]):
         vals = _numbers(fields, ln)
         if not (0.0 <= vals[4] <= 1.0):
             raise ValidationError(f"line {ln}: confidence {vals[4]} outside [0, 1]")
-        p1.append(vals[0:2])
-        p2.append(vals[2:4])
-        conf.append(vals[4])
+    if pending is not None:
+        raise pending
 
     return CorrespondenceSet(
-        np.array(p1, dtype=float).reshape(-1, 2),
-        np.array(p2, dtype=float).reshape(-1, 2),
-        np.array(conf, dtype=float),
+        np.ascontiguousarray(data[:, 0:2]), np.ascontiguousarray(data[:, 2:4]),
+        np.ascontiguousarray(data[:, 4]),
         Intrinsics(fx, fy, cx, cy), width, height,
         gt_relative=gt, pair_id=pair_id)
 

@@ -197,14 +197,12 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
                     train_losses.append(bd)
                     n_ok += 1
                     if acc is None:
-                        acc = grads
+                        acc = params.pack(grads)
                     else:
-                        for k in acc:
-                            acc[k] += grads[k]
+                        acc += params.pack(grads)
                 if n_ok == 0:
                     continue
-                for k in acc:
-                    acc[k] /= n_ok
+                acc /= n_ok
                 nn.adam_step(params, acc, lr=cfg.lr)
 
             if not train_losses:

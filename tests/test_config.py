@@ -115,7 +115,9 @@ UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
               "dataset.sequence=a\tb", "dataset.sequence=a\udcffb",
               "dataset.spacings=nan", "dataset.spacings=0.1,inf", "dataset.depth_min=nan",
               "dataset.depth_max=nan", "dataset.depth_max=inf", "dataset.fps=inf",
-              "dataset.fps=nan", "dataset.step_m=nan", "dataset.step_m=-inf"]
+              "dataset.fps=nan", "dataset.step_m=nan", "dataset.step_m=-inf",
+              "dataset.width=0", "dataset.height=-5", "dataset.width=4", "dataset.height=4",
+              "dataset.cx=inf", "dataset.cy=nan", "dataset.fx=nan", "dataset.fy=-inf"]
 
 
 @pytest.mark.parametrize("override", UNRUNNABLE)
@@ -131,12 +133,14 @@ def test_edge_values_stay_valid():
                                         "graph.radius=none", "train.epochs=1",
                                         "train.lr=1e-300", "loss.lambda_pose=0",
                                         "dataset.n_points=8", "train.batch_size=1",
-                                        "dataset.noise_px=0", "dataset.sequence=a-b:c"])
+                                        "dataset.noise_px=0", "dataset.sequence=a-b:c",
+                                        "dataset.width=5", "dataset.height=5"])
     assert cfg.graph.tau == float("inf") and cfg.graph.k == 1
     assert cfg.train.epochs == 1 and cfg.train.lr == 1e-300
     assert cfg.weights().lambda_pose == 0.0 and cfg.dataset.n_points == 8
     assert cfg.train.batch_size == 1 and cfg.dataset.noise_px == 0.0
     assert cfg.dataset.sequence == "a-b:c"
+    assert (cfg.dataset.width, cfg.dataset.height) == (5, 5)
 
 
 def test_unrunnable_value_in_config_file(tmp_path):

@@ -556,3 +556,111 @@ class TestStackedE0:
         corr = generate_scene(55, 30, (3.0, 10.0), small_pose(55))
         with pytest.raises(DegenerateGeometryError):
             estimate_E0(corr, m=7)
+
+
+def e0_one_stack(corr, tau=1e-4, m=16, iters=32, seed=0):
+    """estimate_E0 without the early stop: the seeded and the ``iters``
+    drawn subsets solved as one (1 + iters)-member stack, first maximum
+    returned."""
+    X1, X2 = corr.normalized_points()
+    n = len(X1)
+    m = min(m, n)
+    order = np.lexsort((np.arange(n), -np.asarray(corr.confidences(), dtype=float)))
+    rng = np.random.default_rng(seed)
+    subsets = np.stack([order[:m]] + [rng.choice(n, size=m, replace=False)
+                                      for _ in range(iters)])
+    E, ok = solve_eight_point((X1[subsets], X2[subsets]))
+    if not ok.any():
+        raise DegenerateGeometryError("no candidate subset yielded a solvable system")
+    counts = np.where(ok, (sampson_distances(X1, X2, E) < tau).sum(axis=1), -1)
+    return E[np.argmax(counts)]
+
+
+class PointSet:
+    """The two accessors estimate_E0 reads, over given normalized points."""
+
+    def __init__(self, X1, X2, conf):
+        self.X1, self.X2, self.conf = X1, X2, conf
+
+    def normalized_points(self):
+        return self.X1, self.X2
+
+    def confidences(self):
+        return self.conf
+
+
+def unsolvable_seed_set(n=60, coincide=16):
+    """A clean scene whose ``coincide`` most confident matches are one
+    repeated point, so the seeded subset cannot be conditioned."""
+    X1, X2 = scene_points(small_pose(56), seed=57, n=n)
+    X1, X2 = X1.copy(), X2.copy()
+    X1[:coincide] = X1[0]
+    X2[:coincide] = X2[0]
+    conf = np.where(np.arange(n) < coincide, 1.0, 0.5)
+    return PointSet(X1, X2, conf)
+
+
+class TestEarlyStopE0:
+    @pytest.mark.parametrize("scene_seed,n,noise,outliers,m,iters,seed", [
+        (60, 80, 0.0, 0.0, 16, 32, 0),     # every match an inlier: early stop
+        (61, 80, 0.5, 0.0, 16, 32, 1),
+        (62, 200, 0.5, 0.3, 16, 32, 2),
+        (63, 120, 0.5, 0.7, 16, 32, 3),
+        (64, 11, 0.5, 0.3, 16, 32, 4),     # m clamps to n
+        (65, 9, 0.0, 0.0, 16, 32, 5),
+        (66, 100, 0.5, 0.3, 16, 0, 6),     # iters=0: the seeded candidate only
+        (67, 100, 0.0, 0.0, 16, 0, 7),
+        (68, 150, 0.5, 0.7, 8, 5, 8),
+    ])
+    def test_matches_one_stack(self, scene_seed, n, noise, outliers, m, iters, seed):
+        corr = generate_scene(scene_seed, n, (3.0, 10.0), small_pose(scene_seed),
+                              noise_px=noise, outlier_fraction=outliers)
+        got = estimate_E0(corr, m=m, iters=iters, seed=seed)
+        assert np.array_equal(got, e0_one_stack(corr, m=m, iters=iters, seed=seed))
+
+    def test_unsolvable_seed_falls_back_to_draws(self):
+        corr = unsolvable_seed_set()
+        got = estimate_E0(corr, seed=9)
+        assert np.array_equal(got, e0_one_stack(corr, seed=9))
+
+    @pytest.mark.parametrize("iters", [0, 4])
+    def test_no_solvable_candidate_is_degenerate(self, iters):
+        corr = unsolvable_seed_set(coincide=60) if iters else unsolvable_seed_set()
+        for estimate in (estimate_E0, e0_one_stack):
+            with pytest.raises(DegenerateGeometryError):
+                estimate(corr, iters=iters)
+
+    def _count_calls(self, monkeypatch):
+        calls = {"solve": 0, "choice": 0}
+        solve = epipolar.solve_eight_point
+        make_rng = np.random.default_rng
+
+        def counting_solve(pairs):
+            calls["solve"] += 1
+            return solve(pairs)
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                calls["choice"] += 1
+                return self._rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(epipolar, "solve_eight_point", counting_solve)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        return calls
+
+    def test_all_inliers_solve_once_and_draw_nothing(self, monkeypatch):
+        corr = generate_scene(60, 80, (3.0, 10.0), small_pose(60))
+        expect = e0_one_stack(corr)
+        calls = self._count_calls(monkeypatch)
+        assert np.array_equal(estimate_E0(corr), expect)
+        assert calls == {"solve": 1, "choice": 0}
+
+    def test_outliers_draw_every_subset(self, monkeypatch):
+        corr = generate_scene(62, 200, (3.0, 10.0), small_pose(62), noise_px=0.5,
+                              outlier_fraction=0.3)
+        calls = self._count_calls(monkeypatch)
+        estimate_E0(corr, iters=32)
+        assert calls == {"solve": 2, "choice": 32}

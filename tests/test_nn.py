@@ -534,6 +534,79 @@ class TestAdam:
         assert abs(abs(params.tensors["w"][0] - before[0]) - lr) < 1e-6
 
 
+def adam_reference(params, grads, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one tensor at a time, new moment arrays per step."""
+    params.step += 1
+    t = params.step
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for k, theta in params.tensors.items():
+        g = grads[k]
+        params.m[k] = beta1 * params.m[k] + (1.0 - beta1) * g
+        params.v[k] = beta2 * params.v[k] + (1.0 - beta2) * g * g
+        m_hat = params.m[k] / c1
+        v_hat = params.v[k] / c2
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class PerTensorParams:
+    """Tensors, moments and step as separate arrays, as ``adam_reference`` updates."""
+
+    def __init__(self, params):
+        self.tensors = {k: v.copy() for k, v in params.tensors.items()}
+        self.m = {k: v.copy() for k, v in params.m.items()}
+        self.v = {k: v.copy() for k, v in params.v.items()}
+        self.step = params.step
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+    def test_matches_per_tensor_loop_bitwise(self, preset):
+        params = nn.init_params(nn.preset_config(preset, hidden=16), seed=3)
+        ref = PerTensorParams(params)
+        rng = np.random.default_rng(4)
+        for step in range(6):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
+                     for k, v in params.tensors.items()}
+            if step % 2:
+                nn.adam_step(params, grads, lr=1e-3)
+            else:
+                nn.adam_step(params, params.pack(grads), lr=1e-3)
+            adam_reference(ref, grads, lr=1e-3)
+        assert params.step == ref.step == 6
+        for store, ref_store in ((params.tensors, ref.tensors), (params.m, ref.m),
+                                 (params.v, ref.v)):
+            assert list(store) == list(ref_store)
+            for k in store:
+                assert np.array_equal(bits(store[k]), bits(ref_store[k])), k
+
+    def test_tensors_are_views_of_the_flat_vectors(self):
+        params = nn.init_params(nn.preset_config("GIN_SumPool", hidden=8))
+        for flat, store in ((params.flat, params.tensors), (params.flat_m, params.m),
+                            (params.flat_v, params.v)):
+            assert flat.ndim == 1 and flat.flags.c_contiguous
+            assert flat.size == sum(a.size for a in store.values())
+            for k, a in store.items():
+                assert np.shares_memory(a, flat), k
+            assert np.array_equal(params.pack(store), flat)
+        params.tensors["L0.eps"][...] = 0.25
+        assert 0.25 in params.flat
+
+    def test_copy_shares_no_memory(self):
+        params = nn.init_params(nn.preset_config("3GCN+GAT", hidden=8), seed=1)
+        nn.adam_step(params, {k: np.ones_like(v) for k, v in params.tensors.items()})
+        dup = params.copy()
+        assert dup.step == params.step
+        for a, b in ((params.flat, dup.flat), (params.flat_m, dup.flat_m),
+                     (params.flat_v, dup.flat_v)):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        for k in params.tensors:
+            assert np.shares_memory(dup.tensors[k], dup.flat)
+            assert not np.shares_memory(dup.tensors[k], params.flat)
+        nn.adam_step(dup, {k: np.ones_like(v) for k, v in params.tensors.items()})
+        assert params.step == 1 and not np.array_equal(params.flat, dup.flat)
+
+
 class TestGradCheck:
     def test_one_preset_passes(self):
         gt = random_graph(22, n=12)
@@ -639,6 +712,23 @@ class TestCheckpoint:
         assert np.array_equal(out.q, out2.q)
         assert np.array_equal(out.t_dir, out2.t_dir)
         assert out.t_raw == out2.t_raw
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        cfg = nn.preset_config("3GCN+GAT", hidden=8)
+        params = nn.init_params(cfg, seed=2)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            nn.adam_step(params, {k: rng.normal(size=v.shape)
+                                  for k, v in params.tensors.items()})
+        params.tensors["L0.b"][:2] = (-0.0, 5e-324)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        nn.save_checkpoint(first, params, cfg, {"note": "fixture"})
+        back, cfg2, meta = nn.load_checkpoint(first)
+        nn.save_checkpoint(second, back, cfg2, meta)
+        assert first.read_bytes() == second.read_bytes()
+        for flat, flat2 in ((params.flat, back.flat), (params.flat_m, back.flat_m),
+                            (params.flat_v, back.flat_v)):
+            assert np.array_equal(bits(flat), bits(flat2))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.ckpt"

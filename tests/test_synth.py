@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epigraph import synth
 from epigraph.config import DatasetSection
 from epigraph.errors import (
     EmptySamplingError,
@@ -316,6 +317,92 @@ class TestCorrespondenceIO:
         with pytest.raises(FormatError) as exc:
             load_correspondences(path)
         assert exc.value.line == 2
+
+
+def load_line_by_line(path):
+    """The data lines of a correspondence file checked and converted one line
+    at a time, in file order, trailers included; returns (p1, p2, conf)."""
+    with open(path) as f:
+        raw = f.read().splitlines()
+    rows = []
+    for ln, line in enumerate(raw[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            synth._read_trailer(line, ln, None, None)
+            continue
+        fields = line.split()
+        if len(fields) != 5:
+            raise FormatError(f"expected 5 fields, got {len(fields)}", line=ln)
+        vals = synth._numbers(fields, ln)
+        if not (0.0 <= vals[4] <= 1.0):
+            raise ValidationError(f"line {ln}: confidence {vals[4]} outside [0, 1]")
+        rows.append(vals)
+    data = np.array(rows, dtype=float).reshape(-1, 5)
+    return data[:, :2], data[:, 2:4], data[:, 4]
+
+
+CORR_HEAD = "# epigraph-corr v1 640 480 500.0 500.0 320.0 240.0\n"
+GOOD_LINE = "1.5 2.25 3.0 4.125 0.5"
+# one bad line of each kind the loader refuses
+BAD_LINES = {
+    "fields": "1.0 2.0 3.0 4.0",
+    "extra": "1.0 2.0 3.0 4.0 0.5 6.0",
+    "word": "1.0 x 3.0 4.0 0.5",
+    "nan": "1.0 2.0 nan 4.0 0.5",
+    "inf": "1.0 2.0 3.0 -inf 0.5",
+    "huge": "1e400 2.0 3.0 4.0 0.5",
+    "conf_high": "1.0 2.0 3.0 4.0 1.5",
+    "conf_low": "1.0 2.0 3.0 4.0 -0.25",
+    "conf_nan": "1.0 2.0 3.0 4.0 nan",
+    "trailer": "# unknown_tag 1",
+    "gt_count": "# gt_relative 1 0 0 0",
+    "gt_value": "# gt_relative 1 0 0 0 0 0 nan",
+    "pair_id": "# pair_id seq one 2",
+}
+
+
+def raised(load, path):
+    try:
+        load(path)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return None
+
+
+class TestBulkCorrespondenceParse:
+    @pytest.mark.parametrize("first", sorted(BAD_LINES))
+    @pytest.mark.parametrize("second", ["fields", "word", "nan", "conf_high", "trailer"])
+    def test_first_bad_line_wins(self, tmp_path, first, second):
+        path = tmp_path / "bad.txt"
+        lines = [GOOD_LINE, GOOD_LINE, BAD_LINES[first], GOOD_LINE, BAD_LINES[second],
+                 GOOD_LINE]
+        path.write_text(CORR_HEAD + "\n".join(lines) + "\n")
+        got = raised(load_correspondences, path)
+        # FormatError carries the line; ValidationError names it in its message
+        assert got is not None and (got[2] == 4 or got[1].startswith("line 4:")), got
+        assert got == raised(load_line_by_line, path)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_each_kind_alone(self, tmp_path, kind):
+        path = tmp_path / "bad.txt"
+        path.write_text(CORR_HEAD + "\n".join([GOOD_LINE] * 3 + [BAD_LINES[kind]]) + "\n")
+        got = raised(load_correspondences, path)
+        assert got is not None and got == raised(load_line_by_line, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_arrays_match_line_by_line(self, data):
+        corr = data.draw(correspondence_sets())
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "pair.txt")
+            save_correspondences(corr, path)
+            back = load_correspondences(path)
+            ref = load_line_by_line(path)
+        for a, b in zip((back.p1, back.p2, back.confidence), ref):
+            assert a.shape == b.shape and a.flags.c_contiguous
+            assert np.array_equal(bits(a), bits(b))
 
 
 class TestTrajectoryIO:
