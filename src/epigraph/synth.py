@@ -153,6 +153,54 @@ class PairSample:
 
 # generate_scene draws view-1 pixels at least this far inside the image border
 SCENE_MARGIN_PX = 2.0
+# generate_scene draws its first rejection chunk at 2 attempts a point and
+# each later one at twice the last, up to this many attempts
+_MAX_CHUNK = 1 << 16
+
+
+def _in_image(p: np.ndarray, width, height) -> np.ndarray:
+    """Per row of (k, 2) pixels p: whether it lies inside the image."""
+    inside = (p >= 0) & (p < (width, height))
+    return inside[:, 0] & inside[:, 1]
+
+
+def _project_attempts(uvz: np.ndarray, K, Kinv, R, t, width, height):
+    """(visible, q) for rejection-sampling attempts, rows (u, v, z): whether
+    the point lies in front of the second camera and projects inside its
+    image, and its view-2 pixel (meaningless where not visible)."""
+    h = np.column_stack([uvz[:, :2], np.ones(len(uvz))])
+    X1 = uvz[:, 2:3] * (Kinv @ h[:, :, None])[:, :, 0]
+    X2 = (R @ X1[:, :, None])[:, :, 0] + t
+    front = X2[:, 2] >= 1e-6
+    depth = np.where(front, X2[:, 2], 1.0)
+    q = (K @ (X2 / depth[:, None])[:, :, None])[:, :2, 0]
+    return front & _in_image(q, width, height), q
+
+
+def _add_noise(rng, arr: np.ndarray, noise_px: float, width, height) -> None:
+    """Add N(0, noise_px) to each row of arr in place, trying each row up to
+    100 times for a pixel inside the image and leaving it as it is if none
+    is; the draws are those of that per-row loop."""
+    start = 0
+    while start < len(arr):
+        state = rng.bit_generator.state
+        cand = arr[start:] + rng.normal(0.0, noise_px, (len(arr) - start, 2))
+        inside = _in_image(cand, width, height)
+        if inside.all():
+            arr[start:] = cand
+            return
+        # row start + i leaves the image: rewind and draw its 100 tries at once
+        i = int(np.argmin(inside))
+        arr[start:start + i] = cand[:i]
+        rng.bit_generator.state = state
+        tries = arr[start + i] + rng.normal(0.0, noise_px, (i + 100, 2))[i:]
+        inside = _in_image(tries, width, height)
+        if inside.any():
+            j = int(np.argmax(inside))
+            arr[start + i] = tries[j]
+            rng.bit_generator.state = state
+            rng.normal(0.0, noise_px, (i + j + 1, 2))
+        start += i + 1
 
 
 def generate_scene(seed, n_points: int, depth_range, pose: Pose,
@@ -167,14 +215,34 @@ def generate_scene(seed, n_points: int, depth_range, pose: Pose,
     noise is added to both views; an outlier_fraction of the pairs has p2
     replaced by a uniform in-bounds pixel.  Inliers carry confidence 1,
     outliers a uniform draw from [0, 0.5].
+
+    The output is a function of the random stream of a per-point loop: per
+    attempt, u, v and z; per noise try, two normals, for every p1 row and
+    then every p2 row, up to 100 tries a row; then the outlier draws.  The
+    attempts are drawn in chunks and the noise for all remaining rows at
+    once.  Where a chunk or a noise draw goes past what the loop uses, the
+    bit generator is rewound to its start and exactly the used rows are
+    drawn again, so every later draw, and every output, is the loop's bit
+    for bit.  The projections are batched matrix-vector products,
+    (k, 3, 3) @ (k, 3, 1): each runs the same 3x3 product as ``R @ x`` on
+    one point, where ``X @ R.T`` sums in another order and moves the last
+    bits of p2.
     """
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
     if not (0 <= outlier_fraction < 1):
         raise InvalidInputError("outlier_fraction must lie in [0, 1)")
     zmin, zmax = float(depth_range[0]), float(depth_range[1])
-    if zmin <= 0 or zmax < zmin:
-        raise InvalidInputError("depth_range must be positive and ordered")
+    # written so that a NaN, which compares False, fails it
+    if not (0 < zmin <= zmax < math.inf):
+        raise InvalidInputError("depth_range must be finite, positive and ordered")
+    margin = SCENE_MARGIN_PX
+    if not (width >= 2 * margin and height >= 2 * margin):
+        raise InvalidInputError(
+            f"width and height must be >= {2 * margin:g} pixels (a {margin:g}-pixel "
+            f"margin on each side), got {width!r} x {height!r}")
+    if not (0 <= noise_px < math.inf):
+        raise InvalidInputError(f"noise_px must be finite and >= 0, got {noise_px!r}")
 
     rng = np.random.default_rng(seed)
     K = intrinsics.matrix()
@@ -182,40 +250,38 @@ def generate_scene(seed, n_points: int, depth_range, pose: Pose,
     R = pose.rotation()
     t = pose.t
 
-    margin = SCENE_MARGIN_PX
-    p1 = np.empty((n_points, 2))
-    p2 = np.empty((n_points, 2))
+    low = np.array([margin, margin, zmin])
+    high = np.array([width - margin, height - margin, zmax])
+    p1_parts, p2_parts = [], []
     accepted = 0
     attempts = 0
     max_attempts = 2000 * n_points + 1000
+    chunk = 2 * n_points
     while accepted < n_points:
-        attempts += 1
-        if attempts > max_attempts:
+        k = min(chunk, max_attempts - attempts)
+        if k == 0:
             raise UnprojectableSceneError(
                 "could not place points visible in both views; "
                 "the pose may put the scene behind the second camera")
-        u = rng.uniform(margin, width - margin)
-        v = rng.uniform(margin, height - margin)
-        z = rng.uniform(zmin, zmax)
-        X1 = z * (Kinv @ np.array([u, v, 1.0]))
-        X2 = R @ X1 + t
-        if X2[2] < 1e-6:
-            continue
-        q = K @ (X2 / X2[2])
-        if not (0 <= q[0] < width and 0 <= q[1] < height):
-            continue
-        p1[accepted] = (u, v)
-        p2[accepted] = q[:2]
-        accepted += 1
+        state = rng.bit_generator.state
+        uvz = rng.uniform(low, high, size=(k, 3))
+        visible, q = _project_attempts(uvz, K, Kinv, R, t, width, height)
+        idx = np.flatnonzero(visible)[:n_points - accepted]
+        if accepted + len(idx) == n_points:
+            # the loop stops at the attempt that places the last point
+            rng.bit_generator.state = state
+            rng.uniform(low, high, size=(idx[-1] + 1, 3))
+        p1_parts.append(uvz[idx, :2])
+        p2_parts.append(q[idx])
+        accepted += len(idx)
+        attempts += k
+        chunk = min(2 * chunk, _MAX_CHUNK)
+    p1 = np.concatenate(p1_parts)
+    p2 = np.concatenate(p2_parts)
 
     if noise_px > 0:
         for arr in (p1, p2):
-            for i in range(n_points):
-                for _ in range(100):
-                    cand = arr[i] + rng.normal(0.0, noise_px, 2)
-                    if 0 <= cand[0] < width and 0 <= cand[1] < height:
-                        arr[i] = cand
-                        break
+            _add_noise(rng, arr, noise_px, width, height)
 
     confidence = np.ones(n_points)
     n_out = n_points - int(round((1.0 - outlier_fraction) * n_points))
@@ -292,8 +358,9 @@ def save_correspondences(corr: CorrespondenceSet, path) -> None:
     K = corr.intrinsics
     lines = [f"{CORR_HEADER} {corr.width} {corr.height} "
              f"{_fmt(K.fx)} {_fmt(K.fy)} {_fmt(K.cx)} {_fmt(K.cy)}"]
-    for (x1, y1), (x2, y2), c in zip(corr.p1, corr.p2, corr.confidence):
-        lines.append(f"{_fmt(x1)} {_fmt(y1)} {_fmt(x2)} {_fmt(y2)} {_fmt(c)}")
+    # repr of a Python float is _fmt of it
+    rows = np.column_stack([corr.p1, corr.p2, corr.confidence]).tolist()
+    lines.extend(" ".join(map(repr, row)) for row in rows)
     if corr.gt_relative is not None:
         g = corr.gt_relative
         vals = " ".join(_fmt(v) for v in (*g.q, *g.t))
@@ -404,10 +471,9 @@ def load_correspondences(path) -> CorrespondenceSet:
 
 def save_trajectory(traj: Trajectory, path) -> None:
     """KITTI-odometry layout: 12 row-major values of [R|t] per frame."""
+    rows = [pose.matrix()[:3, :].ravel().tolist() for pose in traj.poses]
     with open(path, "w") as f:
-        for pose in traj.poses:
-            M = pose.matrix()[:3, :]
-            f.write(" ".join(_fmt(v) for v in M.ravel()) + "\n")
+        f.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 def load_trajectory(path, fps: float = 10.0) -> Trajectory:
