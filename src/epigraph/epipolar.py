@@ -11,6 +11,8 @@ the largest-magnitude entry is positive.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -25,10 +27,19 @@ from .geom import Pose, rot_to_quat, sampson_distances
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _require_finite(name: str, *arrays) -> None:
+    """Raise InvalidInputError naming ``name`` if an array holds a NaN or
+    an infinity."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError(f"{name} holds non-finite values")
+
+
 def _as_point_arrays(pairs):
-    """An (X1, X2) tuple of normalized points -> two float arrays."""
+    """An (X1, X2) tuple of finite normalized points -> two float arrays."""
     X1, X2 = pairs
-    return np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
+    X1, X2 = np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
+    _require_finite("pairs", X1, X2)
+    return X1, X2
 
 
 def _frobenius(M) -> np.ndarray:
@@ -172,26 +183,34 @@ def decompose_essential(E) -> list[Pose]:
     return [Pose(q1, u3), Pose(q1, -u3), Pose(q2, u3), Pose(q2, -u3)]
 
 
+def _dlt_systems(x1, x2, R, t) -> np.ndarray:
+    """The (N, 4, 4) DLT systems of (N, 3) homogeneous point stacks seen by
+    P1 = [I | 0] and P2 = [R | t]; the null vector of each is its point."""
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    P2 = np.hstack([R, np.asarray(t, dtype=float).reshape(3, 1)])
+    return np.stack([
+        x1[:, 0:1] * P1[2] - P1[0],
+        x1[:, 1:2] * P1[2] - P1[1],
+        x2[:, 0:1] * P2[2] - P2[0],
+        x2[:, 1:2] * P2[2] - P2[1],
+    ], axis=1)
+
+
 def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
     """Linear two-view triangulation; returns 3-D points in view-1 coords.
 
     ``x1`` and ``x2`` are one homogeneous point each, giving a (3,) point,
     or (N, 3) stacks, giving (N, 3) points triangulated in one batched SVD
     of the (N, 4, 4) DLT systems.  A point whose homogeneous scale has
-    |w| < 1e-15 comes back as a row of inf.
+    |w| < 1e-15 comes back as a row of inf.  A non-finite argument raises
+    InvalidInputError naming it.
     """
     single = np.ndim(x1) == 1
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-    P2 = np.hstack([R, np.asarray(t, dtype=float).reshape(3, 1)])
-    A = np.stack([
-        x1[:, 0:1] * P1[2] - P1[0],
-        x1[:, 1:2] * P1[2] - P1[1],
-        x2[:, 0:1] * P2[2] - P2[0],
-        x2[:, 1:2] * P2[2] - P2[1],
-    ], axis=1)
-    _, _, Vt = np.linalg.svd(A)
+    for name, a in (("x1", x1), ("x2", x2), ("R", R), ("t", t)):
+        _require_finite(name, a)
+    _, _, Vt = np.linalg.svd(_dlt_systems(x1, x2, R, t))
     X = Vt[:, -1]
     finite = ~(np.abs(X[:, 3:]) < 1e-15)
     out = np.divide(X[:, :3], X[:, 3:], out=np.full((len(X), 3), np.inf),
@@ -199,25 +218,57 @@ def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
     return out[0] if single else out
 
 
+# Smallest certificate min(|x3|, |x2|, |g|) * gap of a row whose depth signs
+# the Gram eigenvector decides; about 4.5e4 machine epsilons.
+_SURE = 1e-11
+
+
 def _cheirality_counts(candidates, X1, X2) -> list[int]:
     """Per candidate, the number of finite triangulated points in front of
-    both cameras.
+    both cameras, as ``triangulate_dlt`` would place them.
+
+    The counts need only the depth signs.  Each row's null vector x of the
+    DLT system A is taken from one batched ``eigh`` of the 4x4 Gram
+    matrices AᵀA, as the eigenvector of the smallest eigenvalue.  With
+    g = R[2]·x[:3] + t[2]·x[3], the depths are z1 = x[2]/x[3] and
+    z2 = g/x[3], so their signs are those of x[2]·x[3] and g·x[3].
+
+    Those signs are trusted only for a *sure* row, one whose certificate
+    min(|x[3]|, |x[2]|, |g|) · gap exceeds 1e-11, where
+    gap = (λ1 − λ0)/λ3 is the relative gap below the Gram spectrum's
+    second eigenvalue.  Both ``eigh``'s vector and the SVD's right
+    singular vector lie within about 100·ε/gap of the exact null vector
+    (the SVD's gap, (σ1 − σ0)/σ3, is at least half the Gram's), and 1e-11
+    is about 4.5·10⁴·ε.  So on a sure row no sign flips: the SVD's point
+    is finite (|w| > 1e-15) and has the same z1 and z2 signs.  Every
+    other row, a near-infinite point, one near a camera's plane or a
+    near-degenerate system, goes through ``triangulate_dlt``, which is
+    called once per solved rotation, usually on no row.
 
     A candidate (R, -t) whose partner (R, t) was already triangulated is
     scored from the partner's points: its DLT system is the partner's with
     the last column negated, so its points are their negatives, and its
     count is that of the finite points with both depths below 0.  Pairing
     asks for exact equality of R and of -t, so the four candidates of
-    ``decompose_essential`` cost two DLT solves.
+    ``decompose_essential`` cost two solves.
     """
     rotations = [cand.rotation() for cand in candidates]
     counts: list = [None] * len(candidates)
     for i, (cand, R) in enumerate(zip(candidates, rotations)):
         if counts[i] is not None:
             continue
-        X = triangulate_dlt(X1, X2, R, cand.t)
+        A = _dlt_systems(X1, X2, R, cand.t)
+        lam, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
+        x = V[:, :, 0]
+        g = x[:, :3] @ R[2] + cand.t[2] * x[:, 3]
+        gap = (lam[:, 1] - lam[:, 0]) / lam[:, 3]
+        sure = np.minimum(np.minimum(np.abs(x[:, 3]), np.abs(x[:, 2])),
+                          np.abs(g)) * gap > _SURE
+        X = triangulate_dlt(X1[~sure], X2[~sure], R, cand.t)
         X = X[np.isfinite(X).all(axis=1)]
-        z1, z2 = X[:, 2], X @ R[2] + cand.t[2]
+        w = x[sure, 3]
+        z1 = np.concatenate([x[sure, 2] * w, X[:, 2]])
+        z2 = np.concatenate([g[sure] * w, X @ R[2] + cand.t[2]])
         counts[i] = int(np.count_nonzero((z1 > 0) & (z2 > 0)))
         for j in range(i + 1, len(candidates)):
             if (counts[j] is None and np.array_equal(rotations[j], R)
@@ -229,10 +280,12 @@ def _cheirality_counts(candidates, X1, X2) -> list[int]:
 def cheirality_select(candidates, pairs) -> Pose:
     """Pick the candidate with the most triangulated points in front of
     both cameras.  Ties raise AmbiguousCheiralityError carrying the tied
-    candidates."""
+    candidates; a non-finite point or translation raises InvalidInputError
+    naming ``pairs`` or ``candidates``."""
     X1, X2 = _as_point_arrays(pairs)
     if len(X1) < 1:
         raise InsufficientCorrespondencesError("need at least one correspondence")
+    _require_finite("candidates", *(cand.t for cand in candidates))
     counts = _cheirality_counts(candidates, X1, X2)
     best = max(counts)
     winners = [c for c, n in zip(candidates, counts) if n == best]
@@ -248,6 +301,20 @@ def recover_pose(pairs) -> Pose:
     return cheirality_select(decompose_essential(E), pairs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _e0_subsets(n: int, m: int, iters: int, seed: int) -> np.ndarray:
+    """The (iters, m) index subsets ``estimate_E0`` draws for n matches:
+    ``iters`` draws of m distinct indices from ``default_rng(seed)``.
+
+    They depend on nothing else, so each key is drawn once per process
+    and shared read-only; 1024 keys hold 4 MB at the default m and iters.
+    """
+    rng = np.random.default_rng(seed)
+    subsets = np.stack([rng.choice(n, size=m, replace=False) for _ in range(iters)])
+    subsets.flags.writeable = False
+    return subsets
+
+
 def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
                 seed: int = 0) -> np.ndarray:
     """Initial essential estimate from a minimal high-confidence subset.
@@ -259,8 +326,11 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
     ``iters`` random m-subsets are drawn, solved in one stacked
     ``solve_eight_point`` call as an (iters, m, 3) stack of points per
     image, and scored all at once as an (iters, N) distance array.  The
-    first of the 1 + iters candidates with the most inliers is returned,
-    so the confidence-seeded one wins ties.  Deterministic given the seed.
+    subsets depend only on (N, m, iters, seed), so they are drawn once per
+    key and memoized (``_e0_subsets``): pairs with the same match count
+    share them.  The first of the 1 + iters candidates with the most
+    inliers is returned, so the confidence-seeded one wins ties.
+    Deterministic given the seed.
     """
     X1, X2 = corr.normalized_points()
     n = len(X1)
@@ -281,9 +351,7 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
     if counts[0] == n:
         return E[0]
     if iters > 0:
-        rng = np.random.default_rng(seed)
-        drawn = solve_and_score(np.stack([rng.choice(n, size=m, replace=False)
-                                          for _ in range(iters)]))
+        drawn = solve_and_score(_e0_subsets(n, m, iters, seed))
         E, ok, counts = (np.concatenate(pair) for pair in zip((E, ok, counts), drawn))
     if not ok.any():
         raise DegenerateGeometryError("no candidate subset yielded a solvable system")

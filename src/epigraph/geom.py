@@ -140,6 +140,10 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(
+                    f"intrinsics {name} must be finite, got {getattr(self, name)!r}")
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidInputError("focal lengths must be positive")
 

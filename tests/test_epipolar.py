@@ -432,10 +432,19 @@ class TestPairedCheirality:
             calls.append(1)
             return real(*args)
 
+        eigh_calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            eigh_calls.append(len(a))
+            return real_eigh(a)
+
         monkeypatch.setattr(epipolar, "triangulate_dlt", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         X1, X2 = scene_points(small_pose(46), seed=47, n=50, noise=0.5)
         recover_pose((X1, X2))
         assert len(calls) == 2
+        assert eigh_calls == [50, 50]
 
     def test_decompose_converts_each_rotation_once(self, monkeypatch):
         E = essential_from_pose(small_pose(48))
@@ -457,6 +466,151 @@ class TestPairedCheirality:
                 if a is not b:
                     assert not np.shares_memory(a.q, b.q)
                     assert not np.shares_memory(a.t, b.t)
+
+
+def svd_cheirality_counts(candidates, X1, X2):
+    """The vote with every point placed by ``triangulate_dlt``'s SVD, (R, -t)
+    scored from the points of (R, t): the reference for the certified
+    eigenvector signs."""
+    rotations = [cand.rotation() for cand in candidates]
+    counts = [None] * len(candidates)
+    for i, (cand, R) in enumerate(zip(candidates, rotations)):
+        if counts[i] is not None:
+            continue
+        X = triangulate_dlt(X1, X2, R, cand.t)
+        X = X[np.isfinite(X).all(axis=1)]
+        z1, z2 = X[:, 2], X @ R[2] + cand.t[2]
+        counts[i] = int(np.count_nonzero((z1 > 0) & (z2 > 0)))
+        for j in range(i + 1, len(candidates)):
+            if (counts[j] is None and np.array_equal(rotations[j], R)
+                    and np.array_equal(candidates[j].t, -cand.t)):
+                counts[j] = int(np.count_nonzero((z1 < 0) & (z2 < 0)))
+    return counts
+
+
+def epipoles(pose):
+    """The view-1 and view-2 epipoles of a pose, as normalized points."""
+    R, t = pose.rotation(), pose.t
+    e1 = -R.T @ t
+    return e1 / e1[2], t / t[2]
+
+
+class TestCertifiedVote:
+    """Counts from the Gram eigenvectors' certified signs, with the SVD
+    fallback, against the all-SVD reference."""
+
+    def vote(self, monkeypatch, candidates, X1, X2):
+        """The counts, and the view-1 points that went to the SVD."""
+        fell = []
+        real = epipolar.triangulate_dlt
+
+        def recording(x1, x2, R, t):
+            fell.extend(map(tuple, x1))
+            return real(x1, x2, R, t)
+
+        monkeypatch.setattr(epipolar, "triangulate_dlt", recording)
+        counts = _cheirality_counts(candidates, X1, X2)
+        assert counts == svd_cheirality_counts(candidates, X1, X2)
+        return counts, fell
+
+    @pytest.mark.parametrize("noise,outliers,rot_deg", [
+        (0.5, 0.3, 20.0),    # the eval regime
+        (2.0, 0.7, 20.0),
+    ])
+    def test_noisy_scenes(self, monkeypatch, noise, outliers, rot_deg):
+        rng = np.random.default_rng(int(10 * noise))
+        for i in range(10):
+            pose = Pose(quat_from_axis_angle(rng.normal(size=3),
+                                             np.deg2rad(rng.uniform(1, rot_deg))),
+                        rng.normal(size=3))
+            corr = generate_scene(100 + i, 200, (3.0, 10.0), pose, noise_px=noise,
+                                  outlier_fraction=outliers)
+            X1, X2 = corr.normalized_points()
+            self.vote(monkeypatch, decompose_essential(solve_eight_point((X1, X2))),
+                      X1, X2)
+
+    def test_wide_baseline(self, monkeypatch):
+        pose = Pose(quat_from_axis_angle([0.1, 1.0, 0.0], np.deg2rad(40.0)),
+                    [-3.0, 0.2, 1.0])
+        corr = generate_scene(110, 200, (3.0, 10.0), pose, noise_px=0.5,
+                              outlier_fraction=0.3)
+        X1, X2 = corr.normalized_points()
+        for E in (essential_from_pose(pose), solve_eight_point((X1, X2))):
+            self.vote(monkeypatch, decompose_essential(E), X1, X2)
+
+    def test_point_at_infinity_falls_back(self, monkeypatch):
+        # the parallel-ray point of test_batch_matches_per_point_loop
+        X1, X2 = scene_points(small_pose(40), seed=41, n=50, noise=1.0)
+        X2 = X2.copy()
+        X2[0] = X1[0]
+        pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), [0.4, 0.1, 0.2])
+        assert np.all(np.isinf(triangulate_dlt(X1[0], X2[0], np.eye(3), pose.t)))
+        _, fell = self.vote(monkeypatch, [pose, Pose(pose.q, -pose.t)], X1, X2)
+        assert tuple(X1[0]) in fell
+
+    def test_points_on_camera_one_plane(self, monkeypatch):
+        # a match at the view-2 epipole triangulates to camera 1's centre,
+        # where z1 = 0
+        pose = small_pose(111)
+        X1, X2 = scene_points(pose, seed=112, n=40, noise=0.5)
+        X2 = X2.copy()
+        X2[:5] = epipoles(pose)[1]
+        _, fell = self.vote(monkeypatch, decompose_essential(essential_from_pose(pose)),
+                            X1, X2)
+        assert {tuple(x) for x in X1[:5]} <= set(fell)
+
+    def test_small_gap_rows_fall_back(self, monkeypatch):
+        # matches within 1e-9 of both epipoles: both rays run along the
+        # baseline, so the DLT system is nearly rank 2
+        pose = small_pose(113)
+        X1, X2 = scene_points(pose, seed=114, n=40, noise=0.5)
+        X1, X2 = X1.copy(), X2.copy()
+        e1, e2 = epipoles(pose)
+        rng = np.random.default_rng(115)
+        X1[:20] = e1 + np.c_[rng.normal(scale=1e-9, size=(20, 2)), np.zeros(20)]
+        X2[:20] = e2 + np.c_[rng.normal(scale=1e-9, size=(20, 2)), np.zeros(20)]
+        A = epipolar._dlt_systems(X1[:20], X2[:20], pose.rotation(), pose.t)
+        lam = np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)
+        assert np.all((lam[:, 1] - lam[:, 0]) / lam[:, 3] < 1e-12)
+        _, fell = self.vote(monkeypatch, [pose, Pose(pose.q, -pose.t)], X1, X2)
+        assert {tuple(x) for x in X1[:20]} <= set(fell)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pairs(self, bad):
+        pose = small_pose(116)
+        X1, X2 = scene_points(pose, seed=117, n=20)
+        X1 = X1.copy()
+        X1[3, 0] = bad
+        cands = decompose_essential(essential_from_pose(pose))
+        for call in (lambda: solve_eight_point((X1, X2)),
+                     lambda: solve_eight_point((X1[None], X2[None])),
+                     lambda: cheirality_select(cands, (X1, X2)),
+                     lambda: cheirality_select(cands, (X2, X1)),
+                     lambda: recover_pose((X1, X2))):
+            with pytest.raises(InvalidInputError, match="pairs"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_triangulate_arguments(self, bad):
+        pose = small_pose(118)
+        X1, X2 = scene_points(pose, seed=119, n=10)
+        args = {"x1": X1, "x2": X2, "R": pose.rotation(), "t": pose.t}
+        for name, a in args.items():
+            a = a.copy()
+            a.flat[-1] = bad
+            with pytest.raises(InvalidInputError, match=f"^{name} "):
+                triangulate_dlt(**{**args, name: a})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_candidate_translation(self, bad):
+        pose = small_pose(120)
+        X1, X2 = scene_points(pose, seed=121, n=10)
+        cands = decompose_essential(essential_from_pose(pose))
+        cands[2] = Pose(cands[2].q, [0.0, bad, 1.0])
+        with pytest.raises(InvalidInputError, match="candidates"):
+            cheirality_select(cands, (X1, X2))
 
 
 def coplanar_pure_rotation(n, seed=11):
@@ -659,8 +813,24 @@ class TestEarlyStopE0:
         assert calls == {"solve": 1, "choice": 0}
 
     def test_outliers_draw_every_subset(self, monkeypatch):
-        corr = generate_scene(62, 200, (3.0, 10.0), small_pose(62), noise_px=0.5,
-                              outlier_fraction=0.3)
+        # the subsets are memoized per (n, m, iters, seed): only a key not
+        # yet drawn in this process draws
+        corr, fewer = (generate_scene(62, n, (3.0, 10.0), small_pose(62), noise_px=0.5,
+                                      outlier_fraction=0.3) for n in (200, 199))
+        epipolar._e0_subsets.cache_clear()
         calls = self._count_calls(monkeypatch)
         estimate_E0(corr, iters=32)
         assert calls == {"solve": 2, "choice": 32}
+        estimate_E0(corr, iters=32)
+        assert calls == {"solve": 4, "choice": 32}
+        estimate_E0(fewer, iters=32)
+        assert calls == {"solve": 6, "choice": 64}
+
+    def test_memoized_subsets_equal_fresh_draws(self):
+        subsets = epipolar._e0_subsets(150, 16, 32, 3)
+        rng = np.random.default_rng(3)
+        fresh = np.stack([rng.choice(150, size=16, replace=False) for _ in range(32)])
+        assert subsets.dtype == fresh.dtype and np.array_equal(subsets, fresh)
+        assert epipolar._e0_subsets(150, 16, 32, 3) is subsets
+        with pytest.raises(ValueError):
+            subsets[0, 0] = 1

@@ -124,6 +124,13 @@ class TestNormalizePixel:
         with pytest.raises(InvalidInputError):
             Intrinsics(0, 100, 0, 0)
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_intrinsics_name_the_field(self, field, bad):
+        values = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, field: bad}
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            Intrinsics(**values)
+
 
 class TestSkew:
     def test_unit_x(self):
