@@ -11,8 +11,6 @@ the largest-magnitude entry is positive.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import (
@@ -196,7 +194,57 @@ def _dlt_systems(x1, x2, R, t) -> np.ndarray:
     ], axis=1)
 
 
-def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
+def _svd_points(A) -> np.ndarray:
+    """The points of (N, 4, 4) DLT systems from their SVD null vectors; a
+    point whose homogeneous scale has |w| < 1e-15 is a row of inf."""
+    _, _, Vt = np.linalg.svd(A)
+    X = Vt[:, -1]
+    finite = ~(np.abs(X[:, 3:]) < 1e-15)
+    return np.divide(X[:, :3], X[:, 3:], out=np.full((len(X), 3), np.inf),
+                     where=finite)
+
+
+# Smallest certificate min(|w|, |x[2]|, |g|/|p|) * gap of a row that the
+# Gram eigenvector places; about 4.5e4 machine epsilons.
+_SURE = 1e-11
+
+
+def _gram_points(A, R, t) -> np.ndarray:
+    """The points of (N, 4, 4) DLT systems, each from the smallest
+    eigenvector x of its Gram matrix AᵀA where that vector certifies the
+    SVD's depth signs, and from ``_svd_points`` elsewhere.
+
+    With p = P2[2] = (R[2], t[2]) and g = p·x, the depths of the point
+    x[:3]/w (w = x[3]) are z1 = x[2]/w and z2 = g/w.  A row is *sure* when
+    min(|w|, |x[2]|, |g|/|p|) · gap exceeds 1e-11, where
+    gap = (λ1 − λ0)/λ3 is the relative gap above the Gram spectrum's
+    smallest eigenvalue.  Both ``eigh``'s vector and the SVD's right
+    singular vector lie within about 100·ε/gap of the exact unit null
+    vector (the SVD's gap, (σ1 − σ0)/σ3, is at least half the Gram's), so
+    w, x[2] and g/|p| (an error in x moves g by at most |p| times it)
+    have the same signs in both, by a margin of over 200.  The rounding of
+    z2 = X·R[2] + t[2] is a few ε·|p|/|w|, far below |z2| = |g|/|w|.  So
+    on a sure row the SVD's point is finite (|w| > 1e-15) and its computed
+    depths have these signs, though its bits differ.  Every other row, a
+    near-infinite point, one near a camera's plane or a near-degenerate
+    system, is solved by the SVD.
+    """
+    lam, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
+    x = V[:, :, 0]
+    p = np.append(R[2], t[2])
+    g = x @ p
+    gap = (lam[:, 1] - lam[:, 0]) / lam[:, 3]
+    sure = ((np.minimum(np.abs(x[:, 3]), np.abs(x[:, 2])) * gap > _SURE)
+            & (np.abs(g) * gap > _SURE * np.linalg.norm(p)))
+    if sure.all():
+        return x[:, :3] / x[:, 3:]
+    out = np.empty((len(A), 3))
+    out[sure] = x[sure, :3] / x[sure, 3:]
+    out[~sure] = _svd_points(A[~sure])
+    return out
+
+
+def triangulate_dlt(x1, x2, R, t, *, gram: bool = False) -> np.ndarray:
     """Linear two-view triangulation; returns 3-D points in view-1 coords.
 
     ``x1`` and ``x2`` are one homogeneous point each, giving a (3,) point,
@@ -204,71 +252,46 @@ def triangulate_dlt(x1, x2, R, t) -> np.ndarray:
     of the (N, 4, 4) DLT systems.  A point whose homogeneous scale has
     |w| < 1e-15 comes back as a row of inf.  A non-finite argument raises
     InvalidInputError naming it.
+
+    ``gram=True`` places each well-conditioned point from one batched
+    ``eigh`` of the 4x4 Gram matrices instead, which is faster.  Such a
+    point differs from the SVD's in its last bits but, as ``_gram_points``
+    shows, is finite exactly where the SVD's is and has the same depth
+    signs in both views; the other points are the SVD's.
     """
     single = np.ndim(x1) == 1
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     for name, a in (("x1", x1), ("x2", x2), ("R", R), ("t", t)):
         _require_finite(name, a)
-    _, _, Vt = np.linalg.svd(_dlt_systems(x1, x2, R, t))
-    X = Vt[:, -1]
-    finite = ~(np.abs(X[:, 3:]) < 1e-15)
-    out = np.divide(X[:, :3], X[:, 3:], out=np.full((len(X), 3), np.inf),
-                    where=finite)
+    A = _dlt_systems(x1, x2, R, t)
+    if gram:
+        out = _gram_points(A, np.asarray(R, dtype=float), np.asarray(t, dtype=float))
+    else:
+        out = _svd_points(A)
     return out[0] if single else out
-
-
-# Smallest certificate min(|x3|, |x2|, |g|) * gap of a row whose depth signs
-# the Gram eigenvector decides; about 4.5e4 machine epsilons.
-_SURE = 1e-11
 
 
 def _cheirality_counts(candidates, X1, X2) -> list[int]:
     """Per candidate, the number of finite triangulated points in front of
-    both cameras, as ``triangulate_dlt`` would place them.
-
-    The counts need only the depth signs.  Each row's null vector x of the
-    DLT system A is taken from one batched ``eigh`` of the 4x4 Gram
-    matrices AᵀA, as the eigenvector of the smallest eigenvalue.  With
-    g = R[2]·x[:3] + t[2]·x[3], the depths are z1 = x[2]/x[3] and
-    z2 = g/x[3], so their signs are those of x[2]·x[3] and g·x[3].
-
-    Those signs are trusted only for a *sure* row, one whose certificate
-    min(|x[3]|, |x[2]|, |g|) · gap exceeds 1e-11, where
-    gap = (λ1 − λ0)/λ3 is the relative gap below the Gram spectrum's
-    second eigenvalue.  Both ``eigh``'s vector and the SVD's right
-    singular vector lie within about 100·ε/gap of the exact null vector
-    (the SVD's gap, (σ1 − σ0)/σ3, is at least half the Gram's), and 1e-11
-    is about 4.5·10⁴·ε.  So on a sure row no sign flips: the SVD's point
-    is finite (|w| > 1e-15) and has the same z1 and z2 signs.  Every
-    other row, a near-infinite point, one near a camera's plane or a
-    near-degenerate system, goes through ``triangulate_dlt``, which is
-    called once per solved rotation, usually on no row.
+    both cameras.  The points come from ``triangulate_dlt(..., gram=True)``,
+    whose depth signs, and so these counts, are those of its SVD.
 
     A candidate (R, -t) whose partner (R, t) was already triangulated is
     scored from the partner's points: its DLT system is the partner's with
     the last column negated, so its points are their negatives, and its
     count is that of the finite points with both depths below 0.  Pairing
     asks for exact equality of R and of -t, so the four candidates of
-    ``decompose_essential`` cost two solves.
+    ``decompose_essential`` cost two DLT solves.
     """
     rotations = [cand.rotation() for cand in candidates]
     counts: list = [None] * len(candidates)
     for i, (cand, R) in enumerate(zip(candidates, rotations)):
         if counts[i] is not None:
             continue
-        A = _dlt_systems(X1, X2, R, cand.t)
-        lam, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
-        x = V[:, :, 0]
-        g = x[:, :3] @ R[2] + cand.t[2] * x[:, 3]
-        gap = (lam[:, 1] - lam[:, 0]) / lam[:, 3]
-        sure = np.minimum(np.minimum(np.abs(x[:, 3]), np.abs(x[:, 2])),
-                          np.abs(g)) * gap > _SURE
-        X = triangulate_dlt(X1[~sure], X2[~sure], R, cand.t)
+        X = triangulate_dlt(X1, X2, R, cand.t, gram=True)
         X = X[np.isfinite(X).all(axis=1)]
-        w = x[sure, 3]
-        z1 = np.concatenate([x[sure, 2] * w, X[:, 2]])
-        z2 = np.concatenate([g[sure] * w, X @ R[2] + cand.t[2]])
+        z1, z2 = X[:, 2], X @ R[2] + cand.t[2]
         counts[i] = int(np.count_nonzero((z1 > 0) & (z2 > 0)))
         for j in range(i + 1, len(candidates)):
             if (counts[j] is None and np.array_equal(rotations[j], R)
@@ -301,20 +324,6 @@ def recover_pose(pairs) -> Pose:
     return cheirality_select(decompose_essential(E), pairs)
 
 
-@functools.lru_cache(maxsize=1024)
-def _e0_subsets(n: int, m: int, iters: int, seed: int) -> np.ndarray:
-    """The (iters, m) index subsets ``estimate_E0`` draws for n matches:
-    ``iters`` draws of m distinct indices from ``default_rng(seed)``.
-
-    They depend on nothing else, so each key is drawn once per process
-    and shared read-only; 1024 keys hold 4 MB at the default m and iters.
-    """
-    rng = np.random.default_rng(seed)
-    subsets = np.stack([rng.choice(n, size=m, replace=False) for _ in range(iters)])
-    subsets.flags.writeable = False
-    return subsets
-
-
 def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
                 seed: int = 0) -> np.ndarray:
     """Initial essential estimate from a minimal high-confidence subset.
@@ -326,11 +335,8 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
     ``iters`` random m-subsets are drawn, solved in one stacked
     ``solve_eight_point`` call as an (iters, m, 3) stack of points per
     image, and scored all at once as an (iters, N) distance array.  The
-    subsets depend only on (N, m, iters, seed), so they are drawn once per
-    key and memoized (``_e0_subsets``): pairs with the same match count
-    share them.  The first of the 1 + iters candidates with the most
-    inliers is returned, so the confidence-seeded one wins ties.
-    Deterministic given the seed.
+    first of the 1 + iters candidates with the most inliers is returned,
+    so the confidence-seeded one wins ties.  Deterministic given the seed.
     """
     X1, X2 = corr.normalized_points()
     n = len(X1)
@@ -351,7 +357,9 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
     if counts[0] == n:
         return E[0]
     if iters > 0:
-        drawn = solve_and_score(_e0_subsets(n, m, iters, seed))
+        rng = np.random.default_rng(seed)
+        drawn = solve_and_score(np.stack([rng.choice(n, size=m, replace=False)
+                                          for _ in range(iters)]))
         E, ok, counts = (np.concatenate(pair) for pair in zip((E, ok, counts), drawn))
     if not ok.any():
         raise DegenerateGeometryError("no candidate subset yielded a solvable system")

@@ -428,9 +428,9 @@ class TestPairedCheirality:
         calls = []
         real = epipolar.triangulate_dlt
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
         eigh_calls = []
         real_eigh = np.linalg.eigh
@@ -496,21 +496,24 @@ def epipoles(pose):
 
 
 class TestCertifiedVote:
-    """Counts from the Gram eigenvectors' certified signs, with the SVD
+    """Counts from the Gram eigenvectors' certified points, with the SVD
     fallback, against the all-SVD reference."""
 
     def vote(self, monkeypatch, candidates, X1, X2):
-        """The counts, and the view-1 points that went to the SVD."""
+        """The counts, and the (u, v) of the view-1 points that went to the
+        SVD."""
+        expect = svd_cheirality_counts(candidates, X1, X2)
         fell = []
-        real = epipolar.triangulate_dlt
+        real = epipolar._svd_points
 
-        def recording(x1, x2, R, t):
-            fell.extend(map(tuple, x1))
-            return real(x1, x2, R, t)
+        def recording(A):
+            # the view-1 rows of a DLT system are (-1, 0, u, 0), (0, -1, v, 0)
+            fell.extend(zip(A[:, 0, 2], A[:, 1, 2]))
+            return real(A)
 
-        monkeypatch.setattr(epipolar, "triangulate_dlt", recording)
+        monkeypatch.setattr(epipolar, "_svd_points", recording)
         counts = _cheirality_counts(candidates, X1, X2)
-        assert counts == svd_cheirality_counts(candidates, X1, X2)
+        assert counts == expect
         return counts, fell
 
     @pytest.mark.parametrize("noise,outliers,rot_deg", [
@@ -546,7 +549,7 @@ class TestCertifiedVote:
         pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), [0.4, 0.1, 0.2])
         assert np.all(np.isinf(triangulate_dlt(X1[0], X2[0], np.eye(3), pose.t)))
         _, fell = self.vote(monkeypatch, [pose, Pose(pose.q, -pose.t)], X1, X2)
-        assert tuple(X1[0]) in fell
+        assert tuple(X1[0, :2]) in fell
 
     def test_points_on_camera_one_plane(self, monkeypatch):
         # a match at the view-2 epipole triangulates to camera 1's centre,
@@ -557,7 +560,7 @@ class TestCertifiedVote:
         X2[:5] = epipoles(pose)[1]
         _, fell = self.vote(monkeypatch, decompose_essential(essential_from_pose(pose)),
                             X1, X2)
-        assert {tuple(x) for x in X1[:5]} <= set(fell)
+        assert {tuple(x) for x in X1[:5, :2]} <= set(fell)
 
     def test_small_gap_rows_fall_back(self, monkeypatch):
         # matches within 1e-9 of both epipoles: both rays run along the
@@ -573,7 +576,34 @@ class TestCertifiedVote:
         lam = np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)
         assert np.all((lam[:, 1] - lam[:, 0]) / lam[:, 3] < 1e-12)
         _, fell = self.vote(monkeypatch, [pose, Pose(pose.q, -pose.t)], X1, X2)
-        assert {tuple(x) for x in X1[:20]} <= set(fell)
+        assert {tuple(x) for x in X1[:20, :2]} <= set(fell)
+
+    def test_large_translation_near_camera_two_plane(self, monkeypatch):
+        # |t| about 1000 and every point about 1e-4 from camera 2's plane:
+        # z2 is tiny next to |t|, so the error that |t| adds to g must keep
+        # these rows off the eigenvector
+        pose = Pose(quat_from_axis_angle([0.2, 1.0, 0.0], 0.3),
+                    -1000.0 * np.array([0.3, 0.2, 1.0]))
+        R = pose.rotation()
+        rng = np.random.default_rng(122)
+        Y = np.c_[rng.uniform(-1, 1, (200, 2)), np.ones(200)] * 1e-4
+        X = (Y - pose.t) @ R
+        X1, X2 = X / X[:, 2:], Y / Y[:, 2:]
+        X1[:, :2] += rng.normal(scale=1e-4, size=(200, 2))
+        _, fell = self.vote(monkeypatch, [pose, Pose(pose.q, -pose.t)], X1, X2)
+        assert len(fell) > 150
+
+    def test_gram_points_match_the_svd(self):
+        pose = small_pose(123)
+        X1, X2 = scene_points(pose, seed=124, n=60, noise=1.0)
+        X2 = X2.copy()
+        X2[0] = X1[0]
+        svd = triangulate_dlt(X1, X2, np.eye(3), pose.t)
+        gram = triangulate_dlt(X1, X2, np.eye(3), pose.t, gram=True)
+        assert np.all(np.isinf(svd[0])) and np.array_equal(gram[0], svd[0])
+        np.testing.assert_allclose(gram[1:], svd[1:], rtol=1e-9)
+        single = triangulate_dlt(X1[5], X2[5], np.eye(3), pose.t, gram=True)
+        assert single.shape == (3,) and np.array_equal(single, gram[5])
 
 
 class TestNonFinitePoints:
@@ -813,24 +843,8 @@ class TestEarlyStopE0:
         assert calls == {"solve": 1, "choice": 0}
 
     def test_outliers_draw_every_subset(self, monkeypatch):
-        # the subsets are memoized per (n, m, iters, seed): only a key not
-        # yet drawn in this process draws
-        corr, fewer = (generate_scene(62, n, (3.0, 10.0), small_pose(62), noise_px=0.5,
-                                      outlier_fraction=0.3) for n in (200, 199))
-        epipolar._e0_subsets.cache_clear()
+        corr = generate_scene(62, 200, (3.0, 10.0), small_pose(62), noise_px=0.5,
+                              outlier_fraction=0.3)
         calls = self._count_calls(monkeypatch)
         estimate_E0(corr, iters=32)
         assert calls == {"solve": 2, "choice": 32}
-        estimate_E0(corr, iters=32)
-        assert calls == {"solve": 4, "choice": 32}
-        estimate_E0(fewer, iters=32)
-        assert calls == {"solve": 6, "choice": 64}
-
-    def test_memoized_subsets_equal_fresh_draws(self):
-        subsets = epipolar._e0_subsets(150, 16, 32, 3)
-        rng = np.random.default_rng(3)
-        fresh = np.stack([rng.choice(150, size=16, replace=False) for _ in range(32)])
-        assert subsets.dtype == fresh.dtype and np.array_equal(subsets, fresh)
-        assert epipolar._e0_subsets(150, 16, 32, 3) is subsets
-        with pytest.raises(ValueError):
-            subsets[0, 0] = 1
