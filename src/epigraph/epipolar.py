@@ -73,6 +73,11 @@ def build_constraint_matrix(pairs) -> np.ndarray:
     n = X1.shape[-2]
     if n < 8:
         raise InsufficientCorrespondencesError(f"need >= 8 correspondences, got {n}")
+    return _constraint_rows(X1, X2)
+
+
+def _constraint_rows(X1, X2) -> np.ndarray:
+    """build_constraint_matrix's rows, for points already checked."""
     return np.einsum("...i,...j->...ij", X2, X1).reshape(*X1.shape[:-1], 9)
 
 
@@ -135,7 +140,7 @@ def solve_eight_point(pairs):
     X2c, T2, ok2 = _hartley_transform(X2)
     if not stacked and not (ok1[0] and ok2[0]):
         raise DegenerateGeometryError("all points coincide; cannot condition")
-    A = build_constraint_matrix((X1c, X2c))
+    A = _constraint_rows(X1c, X2c)
     # U is discarded; a reduced SVD still yields the whole 9x9 Vt when m >= 9
     _, S, Vt = np.linalg.svd(A, full_matrices=m < 9)
     # rank(A) must be >= 8 so the nullspace direction is well determined

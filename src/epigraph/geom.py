@@ -70,14 +70,17 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     return np.concatenate([[np.cos(h)], np.sin(h) * axis / n])
 
 
+def rot_entries(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
+    """The nine entries of R(q), row by row, for a unit quaternion given
+    as Python floats."""
+    return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+
+
 def quat_to_rot(q) -> np.ndarray:
     """3x3 rotation matrix of a quaternion (renormalized internally)."""
-    w, x, y, z = normalize_quat(q).tolist()
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return np.array(rot_entries(*normalize_quat(q).tolist())).reshape(3, 3)
 
 
 def rot_to_quat(R) -> np.ndarray:

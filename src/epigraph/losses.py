@@ -14,31 +14,29 @@ the t_scale term, and under normalized_e both sets are (1/sqrt(2),
 1/sqrt(2), 0), so it is 0.
 
 Each total_loss/total_loss_grad call builds one PredictionState that
-every term reads; a PoseTarget derives its constants once.  Gradients
-are taken with respect to the raw predicted quaternion (through its
-renormalization) and the full predicted translation vector.  The
-hemisphere sign and the yaw wrap are chosen in the forward pass and
+every term reads; a PoseTarget derives its constants once, with the same
+code.  Both hold Python floats: on vectors of 3, 4 and 9 entries a numpy
+call costs far more than its arithmetic, and a gradient check scores the
+loss twice per probe.  The gradient branches build their arrays from
+those floats once per state.
+
+Gradients are taken with respect to the raw predicted quaternion
+(through its renormalization) and the full predicted translation vector.
+The hemisphere sign and the yaw wrap are chosen in the forward pass and
 frozen for the backward pass.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, ValidationError
-from .geom import (
-    Pose,
-    essential_from_pose,
-    quat_to_rot,
-    quat_to_rot_jacobian,
-    skew,
-    wrap_angle,
-    yaw_of,
-)
+from .geom import Pose, quat_to_rot_jacobian, rot_entries, skew, wrap_angle
 
 _UNIT_TOL = 1e-6
 
@@ -71,10 +69,32 @@ class LossBreakdown:
         return self.quat + self.t_dir + self.t_scale
 
 
-def _norm(x) -> float:
-    """Euclidean (Frobenius) norm, as np.linalg.norm computes it."""
-    x = x.ravel()
-    return math.sqrt(x @ x)
+def _floats(v, size: int, what: str) -> tuple[list[float], float]:
+    """v as ``size`` Python floats and its Euclidean norm; InvalidInputError
+    naming ``what`` unless that norm is finite."""
+    v = np.asarray(v, dtype=float).reshape(size).tolist()
+    n = math.hypot(*v)
+    if not math.isfinite(n):
+        raise InvalidInputError(f"{what} must be finite, got {v}")
+    return v, n
+
+
+def _unit(q, what: str) -> tuple[list[float], float]:
+    """q/|q| and |q| of a quaternion, as Python floats."""
+    q, n = _floats(q, 4, what)
+    if not n:
+        raise InvalidInputError(f"{what} must be nonzero")
+    return [x / n for x in q], n
+
+
+def _essential(t, R) -> tuple[float, ...]:
+    """The nine entries of E = [t]x R, row by row, from t's three floats
+    and R's nine."""
+    x, y, z = t
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = R
+    return (y * c0 - z * b0, y * c1 - z * b1, y * c2 - z * b2,
+            z * a0 - x * c0, z * a1 - x * c1, z * a2 - x * c2,
+            x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2)
 
 
 def _check_unit(n, what: str) -> None:
@@ -87,8 +107,10 @@ class PoseTarget:
     """Supervision payload: ground-truth pose plus its essential matrix
     (compared at unit Frobenius norm when normalized_e is set).
 
-    The constants the terms read are derived on first use and kept.  A
-    field that no evaluated term reads may be None."""
+    The constants the terms read are derived on first use and kept, as
+    Python floats from the same code as the prediction's, so a perfect
+    prediction scores 0.  A field that no evaluated term reads may be
+    None."""
 
     q: np.ndarray
     t: np.ndarray
@@ -97,59 +119,61 @@ class PoseTarget:
 
     @classmethod
     def from_pose(cls, pose: Pose, normalized_e: bool = False) -> "PoseTarget":
-        return cls(pose.q.copy(), pose.t.copy(), essential_from_pose(pose), normalized_e)
+        u, _ = _unit(pose.q, "target q")
+        E = _essential(_floats(pose.t, 3, "target t")[0], rot_entries(*u))
+        return cls(pose.q.copy(), pose.t.copy(), np.reshape(E, (3, 3)), normalized_e)
 
     @cached_property
-    def q_unit(self) -> np.ndarray:
+    def q_unit(self) -> list[float]:
         """q scaled to unit norm; ValidationError if |q| is off 1 by > 1e-6."""
-        q = np.asarray(self.q, dtype=float).reshape(4)
-        n = _norm(q)
+        u, n = _unit(self.q, "target q")
         _check_unit(n, "ground-truth quaternion")
-        return q / n
+        return u
 
     @cached_property
     def t_norm(self) -> float:
-        return _norm(np.asarray(self.t, dtype=float))
+        return _floats(self.t, 3, "target t")[1]
 
     @cached_property
-    def t_unit(self) -> np.ndarray:
-        if self.t_norm <= 0:
+    def t_unit(self) -> list[float]:
+        t, n = _floats(self.t, 3, "target t")
+        if n <= 0:
             raise InvalidInputError("ground-truth translation must be nonzero")
-        return np.asarray(self.t, dtype=float).reshape(3) / self.t_norm
+        return [x / n for x in t]
 
     @cached_property
     def yaw(self) -> float:
-        return yaw_of(self.q_unit)
+        R = rot_entries(*self.q_unit)
+        return math.atan2(R[3], R[0])
 
     @cached_property
-    def E_ref(self) -> np.ndarray:
-        """The matrix the Frobenius term compares with: E, scaled to unit
-        norm when normalized_e is set."""
-        E = np.asarray(self.E, dtype=float)
-        if self.normalized_e:
-            n = _norm(E)
-            if n > 1e-15:
-                return E / n
+    def E_ref(self) -> list[float]:
+        """The nine entries, row by row, of the matrix the Frobenius term
+        compares with: E, scaled to unit norm when normalized_e is set."""
+        E, n = _floats(self.E, 9, "target E")
+        if self.normalized_e and n > 1e-15:
+            return [e / n for e in E]
         return E
 
 
 class PredictionState:
-    """One predicted pose in the form every term reads: u = q/|q| and
-    |q|, R = R(u), t and |t|, [t]x and E = [t]x R, and, when built for a
-    gradient, J = dR/du as a (4, 3, 3) array."""
+    """One predicted pose in the form every term reads, as Python floats:
+    u = q/|q| and |q|, t and |t|, and the nine entries of R = R(u) and of
+    E = [t]x R, row by row.  Built for a gradient, it also holds u, t and
+    R as arrays, [t]x, and J = dR/du as a (4, 3, 3) array."""
 
-    __slots__ = ("u", "n", "R", "t", "t_norm", "tx", "E", "J")
+    __slots__ = ("u", "n", "t", "t_norm", "R", "E", "u_vec", "t_vec", "R_mat", "tx", "J")
 
     def __init__(self, q, t, grad: bool = False):
-        q = np.asarray(q, dtype=float).reshape(4)
-        self.n = _norm(q)
-        self.u = q / self.n
-        self.t = np.asarray(t, dtype=float).reshape(3)
-        self.t_norm = _norm(self.t)
-        self.R = quat_to_rot(self.u)
-        self.tx = skew(self.t)
-        self.E = self.tx @ self.R
-        self.J = quat_to_rot_jacobian(self.u) if grad else None
+        self.u, self.n = _unit(q, "q_pred")
+        self.t, self.t_norm = _floats(t, 3, "t_pred")
+        self.R = rot_entries(*self.u)
+        self.E = _essential(self.t, self.R)
+        if grad:
+            self.u_vec, self.t_vec = np.array(self.u), np.array(self.t)
+            self.R_mat = np.reshape(self.R, (3, 3))
+            self.tx = skew(self.t)
+            self.J = quat_to_rot_jacobian(self.u_vec)
 
     def check_unit(self) -> "PredictionState":
         _check_unit(self.n, "predicted quaternion")
@@ -157,7 +181,7 @@ class PredictionState:
 
     def chain(self, du) -> np.ndarray:
         """Map dL/du onto the raw quaternion through u = q/|q|."""
-        return (du - (self.u @ du) * self.u) / self.n
+        return (du - (self.u_vec @ du) * self.u_vec) / self.n
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +192,12 @@ class PredictionState:
 def _quat(p: PredictionState, g: PoseTarget, grad: bool = False):
     """Distance after flipping u onto the hemisphere of q_gt."""
     qg = g.q_unit
-    s = 1.0 if p.u @ qg >= 0 else -1.0
-    d = s * p.u - qg
-    val = _norm(d)
+    s = 1.0 if sum(map(operator.mul, p.u, qg)) >= 0 else -1.0
+    d = [s * a - b for a, b in zip(p.u, qg)]
+    val = math.hypot(*d)
     if not grad:
         return val
-    return val, (s * d / val if val > 1e-12 else np.zeros(4)), np.zeros(3)
+    return val, (s * np.array(d) / val if val > 1e-12 else np.zeros(4)), np.zeros(3)
 
 
 def _t_dir(p: PredictionState, g: PoseTarget, grad: bool = False):
@@ -181,12 +205,12 @@ def _t_dir(p: PredictionState, g: PoseTarget, grad: bool = False):
     v = g.t_unit
     if p.t_norm < 1e-15:
         return (1.0, np.zeros(4), np.zeros(3)) if grad else 1.0
-    u = p.t / p.t_norm
-    c = u @ v
-    val = float(1.0 - c)
+    u = [x / p.t_norm for x in p.t]
+    c = sum(map(operator.mul, u, v))
+    val = 1.0 - c
     if not grad:
         return val
-    return val, np.zeros(4), -(v - c * u) / p.t_norm
+    return val, np.zeros(4), -(np.array(v) - c * np.array(u)) / p.t_norm
 
 
 def _t_scale(p: PredictionState, g: PoseTarget, grad: bool = False):
@@ -197,7 +221,7 @@ def _t_scale(p: PredictionState, g: PoseTarget, grad: bool = False):
         return val
     if p.t_norm < 1e-15:
         return val, np.zeros(4), np.zeros(3)
-    return val, np.zeros(4), np.sign(diff) * p.t / p.t_norm
+    return val, np.zeros(4), np.sign(diff) * p.t_vec / p.t_norm
 
 
 def _frob(p: PredictionState, g: PoseTarget, grad: bool = False):
@@ -205,30 +229,31 @@ def _frob(p: PredictionState, g: PoseTarget, grad: bool = False):
 
     Under normalized_e both matrices are compared at unit Frobenius norm
     (scale-free variant); a zero-norm prediction is left unscaled."""
-    E, npred = p.E, _norm(p.E)
+    E, npred = p.E, math.hypot(*p.E)
     scaled = g.normalized_e and npred > 1e-15
     if scaled:
-        E = E / npred
-    D = E - g.E_ref
-    val = _norm(D)
+        E = [e / npred for e in E]
+    D = [e - r for e, r in zip(E, g.E_ref)]
+    val = math.hypot(*D)
     if not grad:
         return val
     if val < 1e-12 or g.normalized_e and not scaled:
         return val, np.zeros(4), np.zeros(3)
-    G = D / val
+    G = np.reshape(D, (3, 3)) / val
     if scaled:
+        E = np.reshape(E, (3, 3))
         G = (G - np.vdot(G, E) * E) / npred
     # dL/dR = [t]x^T G; dL/dt is the vee of G R^T - R G^T.
     du = p.J.reshape(4, 9) @ (p.tx.T @ G).ravel()
-    M = G @ p.R.T
+    M = G @ p.R_mat.T
     dt = np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
     return val, du, dt
 
 
 def _yaw(p: PredictionState, g: PoseTarget, grad: bool = False):
     """|wrapped yaw gap| in [0, pi]."""
-    a, b = p.R[0, 0], p.R[1, 0]     # yaw = atan2(b, a)
-    diff = wrap_angle(float(np.arctan2(b, a)) - g.yaw)
+    a, b = p.R[0], p.R[3]           # yaw = atan2(R[1, 0], R[0, 0])
+    diff = wrap_angle(math.atan2(b, a) - g.yaw)
     val = abs(diff)
     if not grad:
         return val

@@ -285,7 +285,7 @@ def _act_back(dY, P, kind):
 
 
 def _softplus(x: float) -> float:
-    return float(np.maximum(x, 0.0) + np.log1p(np.exp(-abs(x))))
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
 def _sigmoid(x: float) -> float:
@@ -417,7 +417,7 @@ def pool(H, mode: str) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] == 0:
         raise EmptyGraphError("cannot pool an empty node set")
     if mode == "mean":
-        return H.mean(axis=0)
+        return H.sum(axis=0) / len(H)   # H.mean(axis=0)'s bits, without its overhead
     if mode == "sum":
         return H.sum(axis=0)
     raise InvalidInputError(f"unknown pooling {mode!r}")
@@ -470,13 +470,13 @@ def model_forward(gt: GraphTensors, params: ModelParams, config: ModelConfig):
     q_out = m @ T["head_q.W"] + T["head_q.b"]
 
     v = t_out[:3]
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(v @ v)           # np.linalg.norm's bits
     if nv < 1e-300:
         raise InvalidInputError("translation head produced an exactly zero vector")
     t_dir = v / nv
     s_raw = float(t_out[3])
     t_raw = _softplus(s_raw)
-    nq = float(np.linalg.norm(q_out))
+    nq = math.sqrt(q_out @ q_out)
     if nq < 1e-300:
         raise InvalidInputError("quaternion head produced an exactly zero vector")
     q = q_out / nq
@@ -785,7 +785,7 @@ def grad_check(config: ModelConfig, gtensors: GraphTensors, target,
     kinks = {name: [0, 0] for name in params.tensors}
     for name, tensor in params.tensors.items():
         flat = tensor.reshape(-1)
-        a_flat = [analytic[term][name].reshape(-1) for term in terms]
+        a_flat = [analytic[term][name].reshape(-1).tolist() for term in terms]
         fd_flat = [fd[term][name].reshape(-1) for term in terms]
         for idx in range(flat.size):
             orig = flat[idx]

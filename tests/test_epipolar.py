@@ -616,11 +616,25 @@ class TestNonFinitePoints:
         cands = decompose_essential(essential_from_pose(pose))
         for call in (lambda: solve_eight_point((X1, X2)),
                      lambda: solve_eight_point((X1[None], X2[None])),
+                     lambda: build_constraint_matrix((X1, X2)),
                      lambda: cheirality_select(cands, (X1, X2)),
                      lambda: cheirality_select(cands, (X2, X1)),
                      lambda: recover_pose((X1, X2))):
             with pytest.raises(InvalidInputError, match="pairs"):
                 call()
+
+    def test_one_finiteness_check_per_solve(self, monkeypatch):
+        calls = []
+        check = epipolar._require_finite
+        monkeypatch.setattr(epipolar, "_require_finite",
+                            lambda name, *a: calls.append(name) or check(name, *a))
+        pose = small_pose(122)
+        X1, X2 = scene_points(pose, seed=123, n=20)
+        solve_eight_point((X1, X2))
+        solve_eight_point((X1[None], X2[None]))
+        assert calls == ["pairs", "pairs"]
+        build_constraint_matrix((X1, X2))
+        assert calls == ["pairs", "pairs", "pairs"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_triangulate_arguments(self, bad):

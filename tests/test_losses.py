@@ -599,8 +599,12 @@ class TestOracle:
         for _ in range(20):
             pose = Pose(unit_quat(rng), rng.normal(size=3))
             tgt = PoseTarget.from_pose(pose, normalized_e)
-            assert_matches_oracle(pose.q, pose.t, tgt)
-            assert_matches_oracle(-pose.q, pose.t, tgt)
+            for q in (pose.q, -pose.q):
+                assert_matches_oracle(q, pose.t, tgt)
+                # the target's constants come from the prediction's float code
+                bd = total_loss(q, pose.t, tgt)
+                assert (bd.quat, bd.t_scale, bd.frob, bd.yaw) == (0.0, 0.0, 0.0, 0.0)
+                assert abs(bd.t_dir) < 1e-15
             _, dq, dt = total_loss_grad(pose.q, pose.t, tgt)
             assert np.abs(dq).max() < 1e-6 and np.abs(dt).max() < 1e-6
 
@@ -624,6 +628,9 @@ class TestOracle:
         tgt = PoseTarget.from_pose(Pose(unit_quat(rng), rng.normal(size=3)), normalized_e)
         assert_matches_oracle(unit_quat(rng), np.zeros(3), tgt)
         assert total_loss(unit_quat(rng), np.zeros(3), tgt).t_dir == 1.0
+        if normalized_e:    # E = 0 is left unscaled and has no gradient
+            _, dq, dt = TERM_GRADS["frob"](unit_quat(rng), np.zeros(3), tgt)
+            assert np.array_equal(dq, np.zeros(4)) and np.array_equal(dt, np.zeros(3))
 
     def test_yaw_undefined_at_gimbal_lock(self):
         q = quat_from_axis_angle([0, 1, 0], np.pi / 2)
@@ -633,6 +640,26 @@ class TestOracle:
         assert_matches_oracle(q, np.array([0.4, 0.2, 0.1]), tgt)
         _, dq, _ = TERM_GRADS["yaw"](q, np.array([0.4, 0.2, 0.1]), tgt)
         assert np.array_equal(dq, np.zeros(4))
+
+    def test_prediction_opposite_to_target(self):
+        # equal norms: t_scale's gradient is np.sign(0) * ..., exactly 0
+        t = np.array([0.3, -0.7, 0.2])
+        tgt = PoseTarget.from_pose(Pose(quat_from_axis_angle([1, 2, 0], 0.4), t))
+        assert term("t_scale", tgt, t=-t) == 0.0
+        assert_matches_oracle(tgt.q, -t, tgt)
+        _, dq, dt = TERM_GRADS["t_scale"](tgt.q, -t, tgt)
+        assert np.array_equal(dq, np.zeros(4)) and np.array_equal(dt, np.zeros(3))
+
+    def test_yaw_gap_exactly_zero_and_pi(self):
+        t = np.array([0.1, 0.4, -0.3])
+        half_turn, identity = np.array([0.0, 0, 0, 1]), np.array([1.0, 0, 0, 0])
+        for q, q_gt, gap in ((half_turn, half_turn, 0.0), (identity, identity, 0.0),
+                             (half_turn, identity, np.pi), (identity, half_turn, np.pi)):
+            tgt = PoseTarget.from_pose(Pose(q_gt, t))
+            assert term("yaw", tgt, q, t) == gap
+            assert_matches_oracle(q, t, tgt)
+            if gap == 0.0:
+                assert np.array_equal(TERM_GRADS["yaw"](q, t, tgt)[1], np.zeros(4))
 
     def test_non_unit_quaternions_rejected(self):
         t = np.array([0.3, 0.1, 0.5])
@@ -654,6 +681,52 @@ class TestOracle:
         total_loss(unit_quat(rng), rng.normal(size=3), tgt)
         total_loss_grad(rng.normal(size=4), rng.normal(size=3), tgt)
         assert all(tgt.__dict__[k] is v for k, v in cached.items())
+
+
+BAD_VALUES = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite prediction or target ends in InvalidInputError
+    naming the argument, from every entry point that reads it."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(39)
+        self.pose = Pose(unit_quat(rng), rng.normal(size=3))
+        self.q, self.t = unit_quat(rng), rng.normal(size=3)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("arg", ["q_pred", "t_pred"])
+    def test_prediction(self, arg, bad):
+        tgt = PoseTarget.from_pose(self.pose)
+        q, t = self.q.copy(), self.t.copy()
+        (q if arg == "q_pred" else t)[1] = bad
+        for fn in (total_loss, total_loss_grad, *TERM_GRADS.values()):
+            with pytest.raises(InvalidInputError, match=f"^{arg} must be finite"):
+                fn(q, t, tgt)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("field", ["q", "t", "E"])
+    def test_target(self, field, bad):
+        good = PoseTarget.from_pose(self.pose)
+        value = getattr(good, field).copy()
+        value.flat[1] = bad
+        tgt = dataclasses.replace(good, **{field: value})
+        for fn in (total_loss, total_loss_grad, TERM_GRADS["total"]):
+            with pytest.raises(InvalidInputError, match=f"^target {field} must be finite"):
+                fn(self.q, self.t, tgt)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_pose_translation(self, bad):
+        pose = Pose(self.pose.q, [0.1, bad, 0.2])
+        with pytest.raises(InvalidInputError, match="^target t must be finite"):
+            PoseTarget.from_pose(pose)
+
+    def test_zero_quaternion(self):
+        tgt = PoseTarget.from_pose(self.pose)
+        for fn in (total_loss, total_loss_grad):
+            with pytest.raises(InvalidInputError, match="^q_pred must be nonzero"):
+                fn(np.zeros(4), self.t, tgt)
 
 
 class TestOnePredictionState:
@@ -703,7 +776,8 @@ class TestClosedFormSvd:
                 E = skew(t) @ quat_to_rot(q)
                 if normalized_e:
                     E = E / np.linalg.norm(E)
+                E_ref = np.reshape(tgt.E_ref, (3, 3))
                 gap = np.linalg.norm(np.linalg.svd(E, compute_uv=False)
-                                     - np.linalg.svd(tgt.E_ref, compute_uv=False))
+                                     - np.linalg.svd(E_ref, compute_uv=False))
                 expect = 0.0 if normalized_e else np.sqrt(2) * term("t_scale", tgt, q, t)
                 assert abs(gap - expect) < 1e-12

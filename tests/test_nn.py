@@ -669,10 +669,13 @@ class TestGradCheck:
     def test_one_loss_evaluation_per_probe_forward(self, monkeypatch):
         from epigraph import losses
 
-        calls = []
+        calls, forwards = [], []
         total_loss = losses.total_loss
         monkeypatch.setattr(losses, "total_loss",
                             lambda *a, **kw: calls.append(1) or total_loss(*a, **kw))
+        forward = nn.model_forward
+        monkeypatch.setattr(nn, "model_forward",
+                            lambda *a, **kw: forwards.append(1) or forward(*a, **kw))
         cfg = nn.ModelConfig((nn.LayerSpec("gcn", 6, 2),), hidden=2)
         params = nn.init_params(cfg, seed=5)
         probes = sum(t.size for t in params.tensors.values())
@@ -680,6 +683,7 @@ class TestGradCheck:
                                params=params)
         assert len(report) == len(losses.TERM_GRADS) * len(params.tensors)
         assert len(calls) == 2 * probes
+        assert len(forwards) == 1 + 2 * probes
 
     def test_empty_params_empty_report(self):
         gt = random_graph(24, n=5)
