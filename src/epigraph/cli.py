@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -171,20 +172,12 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _train_config(cfg: ExperimentConfig, graph, epochs: int) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(
-        model=cfg.model_config(), graph=graph, weights=cfg.weights(),
-        batch_size=cfg.train.batch_size, lr=cfg.train.lr, epochs=epochs,
-        split=cfg.train.split, seed=cfg.seed, normalized_e=cfg.loss.normalized_e)
-
-
 def cmd_train(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     _, corrs = load_dataset(cfg)
     root = cfg.resolved_out_root()
     os.makedirs(root, exist_ok=True)
     ckpt_path = checkpoint or os.path.join(root, "checkpoint.txt")
-    report = train_mod.train(_train_config(cfg, cfg.graph, cfg.train.epochs),
-                             corrs, ckpt_path)
+    report = train_mod.train(cfg, corrs, ckpt_path)
     report_path = os.path.join(root, "train_report.txt")
     train_mod.write_report(report, report_path)
     print(f"best epoch {report.best_epoch} "
@@ -343,8 +336,8 @@ def cmd_gradcheck(presets, tolerance: float, corrupt: str | None, seed: int) -> 
 
 
 def cmd_bench_knn(cfg: ExperimentConfig, epochs: int | None) -> int:
-    from dataclasses import replace
-
+    # refused here, as train.epochs, before any graph is built
+    train_section = replace(cfg.train, epochs=cfg.train.epochs if epochs is None else epochs)
     root = cfg.resolved_out_root()
     os.makedirs(root, exist_ok=True)
     out_csv = os.path.join(root, "knn_bench.csv")
@@ -366,7 +359,7 @@ def cmd_bench_knn(cfg: ExperimentConfig, epochs: int | None) -> int:
                 wmin, wmax = min(wmin, float(w.min())), max(wmax, float(w.max()))
 
         ckpt = os.path.join(root, f"bench_{variant}.ckpt")
-        train_mod.train(_train_config(cfg, gp, epochs or cfg.train.epochs), corrs, ckpt,
+        train_mod.train(replace(cfg, graph=gp, train=train_section), corrs, ckpt,
                         cache=cache)
         preds = []
         for out in train_mod.predict(train_mod.load_model(ckpt), corrs, cache):

@@ -1,9 +1,15 @@
-"""Experiment configuration: INI-style file with one section per module.
+"""Experiment configuration: INI-style file with one section per record.
 
 Defaults reproduce the standard training setup (k=6, tau=1e-4, Adam at
 1e-4, batch 4, 12 epochs, 80/20 split), so a minimal config runs it
 verbatim.  Any field can be overridden with dotted-path strings like
 ``train.lr=1e-3``.
+
+Each section is the record its module runs on: ``[graph]`` is
+``graph.GraphParams``, ``[loss]`` is ``losses.LossWeights``, and
+``train.train`` reads ``[model]``, ``[train]`` and the seed from the
+``ExperimentConfig`` itself.  Each record checks its own fields when it
+is built; ``parse_config`` reports a refused value as a ConfigError.
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ class DatasetSection:
     check_intrinsics: bool = False     # verify file headers against fx/fy/cx/cy
 
     def __post_init__(self):
+        if self.kind not in ("synthetic", "files"):
+            raise InvalidInputError(
+                f"dataset.kind must be synthetic or files, got {self.kind!r}")
+        if self.motion not in ("forward", "arc", "random-walk"):
+            raise InvalidInputError(f"unknown motion model {self.motion!r}")
         # dataset files split their records on whitespace and cannot hold a surrogate
         if not self.sequence or " " in self.sequence or not self.sequence.isprintable():
             raise InvalidInputError(f"dataset.sequence must be printable, nonempty and "
@@ -82,6 +93,9 @@ class ModelSection:
     hidden: int = 64
 
     def __post_init__(self):
+        if self.preset not in nn.PRESET_NAMES:
+            raise InvalidInputError(f"unknown preset {self.preset!r}; "
+                                    f"known: {', '.join(nn.PRESET_NAMES)}")
         if self.hidden < 1:
             raise InvalidInputError(f"model.hidden must be >= 1, got {self.hidden!r}")
 
@@ -100,20 +114,18 @@ class TrainSection:
             raise InvalidInputError(f"train.batch_size must be >= 1, got {self.batch_size!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError(f"train.lr must be finite and > 0, got {self.lr!r}")
-
-
-@dataclass(frozen=True)
-class LossSection:
-    lambda_pose: float = 1.0
-    lambda_frob: float = 1.0
-    lambda_yaw: float = 1.0
-    normalized_e: bool = False
+        if not (0.0 < self.split < 1.0):
+            raise InvalidInputError("train.split must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
 class EvalSection:
     baseline: str = "none"             # none | eightpoint
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.baseline not in ("none", "eightpoint"):
+            raise InvalidInputError(f"unknown baseline {self.baseline!r}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +136,8 @@ class ExperimentConfig:
     graph: GraphParams = field(default_factory=GraphParams)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
-    loss: LossSection = field(default_factory=LossSection)
+    loss: LossWeights = field(default_factory=LossWeights)
     eval: EvalSection = field(default_factory=EvalSection)
-
-    def weights(self) -> LossWeights:
-        return LossWeights(**{name: getattr(self.loss, name)
-                              for name in settings(LossWeights)})
 
     def model_config(self) -> nn.ModelConfig:
         return nn.preset_config(self.model.preset, hidden=self.model.hidden)
@@ -220,21 +228,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.dataset.kind not in ("synthetic", "files"):
-        raise ConfigError(f"dataset.kind must be synthetic or files, got {cfg.dataset.kind!r}")
-    if cfg.dataset.motion not in ("forward", "arc", "random-walk"):
-        raise ConfigError(f"unknown motion model {cfg.dataset.motion!r}")
-    if cfg.model.preset not in nn.PRESET_NAMES:
-        raise ConfigError(f"unknown preset {cfg.model.preset!r}; "
-                          f"known: {', '.join(nn.PRESET_NAMES)}")
-    if cfg.eval.baseline not in ("none", "eightpoint"):
-        raise ConfigError(f"unknown baseline {cfg.eval.baseline!r}")
-    if not (0.0 < cfg.train.split < 1.0):
-        raise ConfigError("train.split must lie strictly between 0 and 1")
-    cfg.weights()  # surfaces negative and non-finite loss weights
-
-
 def parse_config(path=None, overrides=(), check_files: bool = True) -> ExperimentConfig:
     """Load a config file (or pure defaults) and apply dotted overrides."""
     schema = {section: settings(type(record))
@@ -276,7 +269,6 @@ def parse_config(path=None, overrides=(), check_files: bool = True) -> Experimen
         cfg = replace(cfg, **changes.pop("run"), **{
             section: replace(getattr(cfg, section), **kv)
             for section, kv in changes.items()})
-        _validate(cfg)
     except InvalidInputError as e:  # a record refused a value
         raise ConfigError(str(e)) from None
     if check_files and cfg.dataset.kind == "files":

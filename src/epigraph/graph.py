@@ -197,12 +197,12 @@ def build_graph(corr, params: GraphParams = GraphParams(),
     Pipeline: intrinsics-normalize, estimate E0 (seed 0) from a confidence-
     seeded minimal subset (unless one is supplied), Sampson-filter at tau,
     then build edges over the survivors' image-1 points.  ``k_clamped`` is
-    set when k reaches the match count or the survivor count.
+    set when k reaches the match count or, on a k-NN variant, the survivor
+    count.
     """
     X1, X2 = corr.normalized_points()
     n = len(X1)
 
-    clamped = params.k >= n and n >= 2
     if E0 is None:
         E0 = estimate_E0(corr, tau=params.tau, m=params.e0_m, iters=params.e0_iters)
     else:
@@ -212,13 +212,14 @@ def build_graph(corr, params: GraphParams = GraphParams(),
     # the homogeneous third coordinate is 1 everywhere and adds nothing to a distance
     coords = X1[kept, :2]
 
-    radius = params.radius
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if params.variant == "radius" and radius is None:
-            radius = median_kth_distance(coords, params.k) if len(coords) >= 2 else None
-        edges = build_edges(coords, params.variant, k=params.k, radius=radius)
-        clamped = clamped or any("clamped" in str(w.message) for w in caught)
+    k, radius, m = params.k, params.radius, len(coords)
+    if params.variant == "radius":
+        if radius is None and m >= 2:
+            radius = median_kth_distance(coords, k)
+    elif 2 <= m <= k:
+        k = m - 1  # the clamp build_edges would warn about
+    edges = build_edges(coords, params.variant, k=k, radius=radius)
+    clamped = params.k >= n >= 2 or k < params.k
 
     features = np.hstack([X1[kept], X2[kept]])
     meta = {

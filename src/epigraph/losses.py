@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,15 +43,20 @@ _UNIT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LossWeights:
+    """The ``[loss]`` config section: the lambda weights of the total, and
+    whether targets compare E scaled to unit Frobenius norm.  The loss
+    reads only the lambdas; ``normalized_e`` is fixed in each PoseTarget."""
+
     lambda_pose: float = 1.0
     lambda_frob: float = 1.0
     lambda_yaw: float = 1.0
+    normalized_e: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in ("lambda_pose", "lambda_frob", "lambda_yaw"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise InvalidInputError(f"loss.{f.name} must be finite and nonnegative, "
+                raise InvalidInputError(f"loss.{name} must be finite and nonnegative, "
                                         f"got {value!r}")
 
 

@@ -9,7 +9,6 @@ All generators are pure functions of their seed and parameters.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -49,9 +48,10 @@ def _fmt(x: float) -> str:
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CorrespondenceSet:
-    """Matched pixel pairs with confidences for one image pair."""
+    """Matched pixel pairs with confidences for one image pair.  A set is
+    equal only to itself, so it can key a cache by identity."""
 
     p1: np.ndarray              # (N, 2) pixels in view 1
     p2: np.ndarray              # (N, 2) pixels in view 2
@@ -92,17 +92,6 @@ class CorrespondenceSet:
     def pair_label(self) -> str:
         seq, i, j = self.pair_id
         return f"{seq}:{i}:{j}"
-
-    def cache_token(self) -> str:
-        """Content digest; pair ids alone may collide across datasets."""
-        if not hasattr(self, "_cache_token"):
-            h = hashlib.sha256()
-            K = self.intrinsics
-            h.update(repr((self.width, self.height, K.fx, K.fy, K.cx, K.cy)).encode())
-            for arr in (self.p1, self.p2, self.confidence):
-                h.update(np.ascontiguousarray(arr).tobytes())
-            object.__setattr__(self, "_cache_token", h.hexdigest())
-        return self._cache_token
 
 
 @dataclass

@@ -1,47 +1,30 @@
 """Mini-batch training loop with validation split and min-val checkpointing.
 
-Graphs are built per sample inside the loop (cached by pair id and graph
-parameters); batch gradients are the arithmetic mean over the graphs that
-built successfully; one Adam step per batch.  Fixed seed implies
-bit-identical parameters after every epoch.  ``load_model`` and
-``predict`` are the forward-only path that eval, export and the k-NN
-sweep share.
+``train`` runs on the ``ExperimentConfig`` itself: the model preset,
+``[graph]``, ``[loss]`` (a ``LossWeights``), ``[train]`` and the seed,
+each checked once, by its own record.  Graphs are built per sample
+inside the loop (cached per correspondence set and graph parameters);
+batch gradients are the arithmetic mean over the graphs that built
+successfully; one Adam step per batch.  Fixed seed implies bit-identical
+parameters after every epoch.  ``load_model`` and ``predict`` are the
+forward-only path that eval, export and the k-NN sweep share.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import nn
-from .config import decode, encode, format_setting, parse_setting
+from .config import ExperimentConfig, decode, encode, format_setting, parse_setting
 from .errors import EpigraphError, InvalidInputError, SchemaVersionError, ValidationError
 from .graph import GraphParams, build_graph
 from .losses import LossBreakdown, LossWeights, PoseTarget, total_loss, total_loss_grad
 from .seeding import substream
 from .synth import CorrespondenceSet, _fmt
-
-
-@dataclass
-class TrainConfig:
-    model: nn.ModelConfig
-    graph: GraphParams = field(default_factory=GraphParams)
-    weights: LossWeights = field(default_factory=LossWeights)
-    batch_size: int = 4
-    lr: float = 1e-4
-    epochs: int = 12
-    split: float = 0.8
-    seed: int = 0
-    normalized_e: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.split < 1.0):
-            raise ValidationError("split fraction must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
 
 
 @dataclass
@@ -84,11 +67,11 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
 
 
 class GraphCache:
-    """Dense tensors of built graphs, keyed by (pair id, content digest,
-    graph params); the params in the key make stale entries impossible when
-    k / tau / variant change, and the digest guards against colliding pair
-    ids.  A pair whose graph failed keeps its error, raised on every get.
-    A cache lives for one command call."""
+    """Dense tensors of built graphs, keyed by (correspondence set, graph
+    params).  A set is equal only to itself, and the params in the key
+    make stale entries impossible when k / tau / variant change.  A pair
+    whose graph failed keeps its error, raised on every get.  A cache
+    lives for one command call."""
 
     def __init__(self):
         self.store: dict = {}
@@ -96,23 +79,21 @@ class GraphCache:
     def build(self, corr: CorrespondenceSet, params: GraphParams):
         """Build the pair's graph, keep its tensors (or its error) for
         ``get`` and return the graph."""
-        key = (corr.pair_label(), corr.cache_token(), params)
         try:
             g = build_graph(corr, params=params)
-            self.store[key] = nn.graph_tensors(g)
+            self.store[corr, params] = nn.graph_tensors(g)
         except EpigraphError as e:
-            self.store[key] = e
+            self.store[corr, params] = e
             raise
         return g
 
     def get(self, corr: CorrespondenceSet, params: GraphParams):
-        key = (corr.pair_label(), corr.cache_token(), params)
-        if key not in self.store:
+        if (corr, params) not in self.store:
             try:
                 self.build(corr, params)
             except EpigraphError:
                 pass
-        res = self.store[key]
+        res = self.store[corr, params]
         if isinstance(res, EpigraphError):
             raise res
         return res
@@ -128,11 +109,9 @@ def _targets_for(dataset, normalized_e: bool) -> list[PoseTarget]:
     return targets
 
 
-def _ckpt_meta(cfg: TrainConfig, epoch: int, val_total: float) -> dict:
+def _ckpt_meta(cfg: ExperimentConfig, epoch: int, val_total: float) -> dict:
     return {"seed": cfg.seed, "epoch": epoch, "val_total": _fmt(val_total),
-            **encode(cfg.weights),
-            "normalized_e": format_setting("bool", cfg.normalized_e),
-            **encode(cfg.graph, "graph.")}
+            **encode(cfg.loss), **encode(cfg.graph, "graph.")}
 
 
 # Graph settings that became fixed behaviour, with their fixed value; an older
@@ -153,7 +132,7 @@ def weights_from_meta(meta: dict) -> LossWeights:
     return decode(LossWeights, meta)
 
 
-def train(cfg: TrainConfig, dataset, checkpoint_path,
+def train(cfg: ExperimentConfig, dataset, checkpoint_path,
           final_checkpoint_path=None, cache: GraphCache | None = None) -> TrainReport:
     """Train on a list of correspondence sets carrying ground truth.
 
@@ -163,35 +142,35 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
     ``final_checkpoint_path`` to also keep the last-epoch state (useful
     for overfit sanity runs), and ``cache`` to reuse graphs the caller
     built."""
-    train_set, val_set = split_dataset(list(dataset), cfg.split, cfg.seed)
-    train_targets = _targets_for(train_set, cfg.normalized_e)
-    val_targets = _targets_for(val_set, cfg.normalized_e)
+    model, gp, weights, tc = cfg.model_config(), cfg.graph, cfg.loss, cfg.train
+    train_set, val_set = split_dataset(list(dataset), tc.split, cfg.seed)
+    train_targets = _targets_for(train_set, weights.normalized_e)
+    val_targets = _targets_for(val_set, weights.normalized_e)
 
     cache = cache or GraphCache()
 
-    params = nn.init_params(cfg.model, substream(cfg.seed, "init"))
+    params = nn.init_params(model, substream(cfg.seed, "init"))
     stats: list[EpochStats] = []
     best = None
     best_state = None   # (params snapshot, meta) of the best epoch so far
 
     try:
-        for epoch in range(1, cfg.epochs + 1):
+        for epoch in range(1, tc.epochs + 1):
             order = substream(cfg.seed, "shuffle", epoch).permutation(len(train_set))
             train_losses: list[LossBreakdown] = []
             skipped = 0
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
+            for start in range(0, len(order), tc.batch_size):
+                batch = order[start:start + tc.batch_size]
                 acc = None
                 n_ok = 0
                 for i in batch:
                     try:
-                        gtensors = cache.get(train_set[i], cfg.graph)
+                        gtensors = cache.get(train_set[i], gp)
                     except EpigraphError:
                         skipped += 1
                         continue
-                    out, fwd_cache = nn.model_forward(gtensors, params, cfg.model)
-                    bd, dq, dt = total_loss_grad(out.q, out.t, train_targets[i],
-                                                 cfg.weights)
+                    out, fwd_cache = nn.model_forward(gtensors, params, model)
+                    bd, dq, dt = total_loss_grad(out.q, out.t, train_targets[i], weights)
                     grads = nn.model_backward(fwd_cache, dq, out.t_raw * dt,
                                               float(dt @ out.t_dir), params)
                     train_losses.append(bd)
@@ -203,7 +182,7 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
                 if n_ok == 0:
                     continue
                 acc /= n_ok
-                nn.adam_step(params, acc, lr=cfg.lr)
+                nn.adam_step(params, acc, lr=tc.lr)
 
             if not train_losses:
                 raise ValidationError("every training graph failed to build this epoch")
@@ -212,12 +191,12 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
             val_skipped = 0
             for corr, target in zip(val_set, val_targets):
                 try:
-                    gtensors = cache.get(corr, cfg.graph)
+                    gtensors = cache.get(corr, gp)
                 except EpigraphError:
                     val_skipped += 1
                     continue
-                out, _ = nn.model_forward(gtensors, params, cfg.model)
-                val_losses.append(total_loss(out.q, out.t, target, cfg.weights))
+                out, _ = nn.model_forward(gtensors, params, model)
+                val_losses.append(total_loss(out.q, out.t, target, weights))
 
             val_mean = _mean_breakdown(val_losses)
             stats.append(EpochStats(epoch, _mean_breakdown(train_losses), val_mean,
@@ -229,13 +208,13 @@ def train(cfg: TrainConfig, dataset, checkpoint_path,
     finally:
         # one write per run; an error after a best epoch still leaves it on disk
         if best_state is not None:
-            nn.save_checkpoint(checkpoint_path, best_state[0], cfg.model, best_state[1])
+            nn.save_checkpoint(checkpoint_path, best_state[0], model, best_state[1])
 
     if best is None:
         raise ValidationError("no validation graph ever built; nothing checkpointed")
     if final_checkpoint_path is not None:
-        nn.save_checkpoint(final_checkpoint_path, params, cfg.model,
-                           _ckpt_meta(cfg, cfg.epochs, stats[-1].val_mean.total))
+        nn.save_checkpoint(final_checkpoint_path, params, model,
+                           _ckpt_meta(cfg, tc.epochs, stats[-1].val_mean.total))
     best_epoch = min((s for s in stats if s.val_processed > 0),
                      key=lambda s: s.val_mean.total).epoch
     return TrainReport(stats, best_epoch, best, str(checkpoint_path))
@@ -249,17 +228,15 @@ class LoadedModel:
     config: nn.ModelConfig
     graph: GraphParams
     weights: LossWeights
-    normalized_e: bool
 
 
 def load_model(path) -> LoadedModel:
-    """Load a checkpoint and parse its graph, loss-weight and normalized_e
-    meta; missing or malformed meta raises SchemaVersionError."""
+    """Load a checkpoint and parse its graph and loss meta; missing or
+    malformed meta raises SchemaVersionError."""
     params, config, meta = nn.load_checkpoint(path)
     try:
         return LoadedModel(params, config, graph_params_from_meta(meta),
-                           weights_from_meta(meta),
-                           parse_setting("bool", meta["normalized_e"], "normalized_e"))
+                           weights_from_meta(meta))
     except (KeyError, ValueError, InvalidInputError) as e:
         raise SchemaVersionError(f"checkpoint meta is missing or malformed: {e}") from None
 

@@ -9,6 +9,7 @@ run) are fixed here and explained in the repository README.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from epigraph.graph import Edges, EpipolarGraph, GraphParams, build_graph, samps
 from epigraph.losses import TERM_GRADS, TERM_VALUES, PoseTarget, PredictionState, total_loss
 from epigraph.metrics import dre, dte
 from epigraph.synth import generate_scene, stress_scene
-from epigraph.train import TrainConfig, load_model, predict, split_dataset, train
+from epigraph.train import load_model, predict, split_dataset, train
 
 WIDE_FOV = Intrinsics(100.0, 100.0, 320.0, 240.0)
 
@@ -216,7 +217,7 @@ def overfit_artifacts(tmp_path_factory):
     direction head enough signal to overfit at the pinned lr within the
     epoch budget."""
     from epigraph.cli import synthesize_dataset
-    from epigraph.config import DatasetSection, ExperimentConfig
+    from epigraph.config import DatasetSection, ExperimentConfig, ModelSection, TrainSection
 
     root = tmp_path_factory.mktemp("overfit")
     cfg = ExperimentConfig(seed=7, dataset=DatasetSection(
@@ -224,8 +225,8 @@ def overfit_artifacts(tmp_path_factory):
         spacings=(0.5,), n_points=60))
     _, corrs = synthesize_dataset(cfg)
     assert len(corrs) == 16
-    tcfg = TrainConfig(model=nn.preset_config("3GCN+GAT"), batch_size=4,
-                       lr=1e-4, epochs=500, split=0.8, seed=7)
+    tcfg = replace(cfg, model=ModelSection("3GCN+GAT"),
+                   train=TrainSection(batch_size=4, lr=1e-4, epochs=500, split=0.8))
     start = time.monotonic()
     rep = train(tcfg, corrs, os.path.join(root, "best.ckpt"),
                 final_checkpoint_path=os.path.join(root, "final.ckpt"))
@@ -241,7 +242,7 @@ def test_criterion_6_overfit_sanity(overfit_artifacts):
     model = load_model(os.path.join(root, "final.ckpt"))
     results = []
     for out, corr in zip(predict(model, train_set), train_set):
-        target = PoseTarget.from_pose(corr.gt_relative, model.normalized_e)
+        target = PoseTarget.from_pose(corr.gt_relative, model.weights.normalized_e)
         results.append((Pose(out.q, out.t), corr.gt_relative,
                         total_loss(out.q, out.t, target, model.weights)))
     mean_dre = float(np.mean([dre(p.rotation(), g.rotation())

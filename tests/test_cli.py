@@ -504,6 +504,29 @@ class TestBenchKnn:
         assert "error: need >= 8 correspondences, got 7" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "knn_bench.csv")
 
+    @pytest.mark.parametrize("epochs", [-1, 0])
+    def test_epochs_is_checked_like_train_epochs(self, tmp_path, capsys, epochs):
+        rc = run(["bench-knn"] + base_args(tmp_path, ["--epochs", str(epochs)]))
+        assert rc == 2
+        assert (f"error: train.epochs must be >= 1, got {epochs}"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+
+    def test_epochs_overrides_the_config(self, tmp_path, monkeypatch):
+        from epigraph import train as train_mod
+
+        seen = []
+        real = train_mod.train
+
+        def recorded(cfg, *args, **kwargs):
+            seen.append((cfg.graph.variant, cfg.train.epochs))
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "train", recorded)
+        assert run(["bench-knn"] + base_args(tmp_path, ["--set", "train.epochs=7",
+                                                        "--epochs", "2"])) == 0
+        assert seen == [(v, 2) for v in ("hard", "soft", "radius", "mutual")]
+
 
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,68 @@ def test_serialize_writes_exactly_the_dataclass_fields():
         assert list(cp[section]) == keys, section
 
 
+DEFAULT_TEXT = """\
+[run]
+seed = 0
+out_root = .
+
+[dataset]
+kind = synthetic
+sequence = seq
+n_frames = 40
+fps = 10.0
+motion = forward
+spacings = 0.1
+n_points = 80
+depth_min = 3.0
+depth_max = 10.0
+noise_px = 0.0
+outlier_fraction = 0.0
+step_m = 0.1
+width = 640
+height = 480
+fx = 500.0
+fy = 500.0
+cx = 320.0
+cy = 240.0
+manifest =\x20
+check_intrinsics = 0
+
+[graph]
+k = 6
+tau = 0.0001
+variant = hard
+radius = none
+e0_m = 16
+e0_iters = 32
+
+[model]
+preset = 3GCN+GAT
+hidden = 64
+
+[train]
+batch_size = 4
+lr = 0.0001
+epochs = 12
+split = 0.8
+
+[loss]
+lambda_pose = 1.0
+lambda_frob = 1.0
+lambda_yaw = 1.0
+normalized_e = 0
+
+[eval]
+baseline = none
+out_dir = out
+
+"""
+
+
+def test_default_config_text_is_pinned():
+    assert serialize_config(default_config()) == DEFAULT_TEXT
+
+
 def test_serialize_encoding_and_older_spellings(tmp_path):
     text = serialize_config(parse_config(None, overrides=["dataset.check_intrinsics=true"]))
     assert "check_intrinsics = 1" in text and "radius = none" in text
@@ -127,6 +189,26 @@ def test_unrunnable_value_is_config_error_naming_its_field(override):
         parse_config(None, overrides=[override])
 
 
+# the exact message each record gives for a refused value
+MESSAGES = {
+    "train.split=1.5": "train.split must lie strictly between 0 and 1",
+    "train.split=0": "train.split must lie strictly between 0 and 1",
+    "model.preset=foo": "unknown preset 'foo'; known: GAT+2GCN, 3GCN+GAT, GIN_SumPool",
+    "eval.baseline=foo": "unknown baseline 'foo'",
+    "loss.lambda_pose=-1": "loss.lambda_pose must be finite and nonnegative, got -1.0",
+    "dataset.kind=foo": "dataset.kind must be synthetic or files, got 'foo'",
+    "dataset.motion=teleport": "unknown motion model 'teleport'",
+    "train.batch_size=0": "train.batch_size must be >= 1, got 0",
+}
+
+
+@pytest.mark.parametrize("override", MESSAGES)
+def test_refused_value_message_is_exact(override):
+    with pytest.raises(ConfigError) as info:
+        parse_config(None, overrides=[override])
+    assert str(info.value) == MESSAGES[override]
+
+
 def test_edge_values_stay_valid():
     cfg = parse_config(None, overrides=["graph.tau=inf", "graph.k=1",
                                         "graph.e0_m=8", "graph.e0_iters=0",
@@ -137,7 +219,7 @@ def test_edge_values_stay_valid():
                                         "dataset.width=5", "dataset.height=5"])
     assert cfg.graph.tau == float("inf") and cfg.graph.k == 1
     assert cfg.train.epochs == 1 and cfg.train.lr == 1e-300
-    assert cfg.weights().lambda_pose == 0.0 and cfg.dataset.n_points == 8
+    assert cfg.loss.lambda_pose == 0.0 and cfg.dataset.n_points == 8
     assert cfg.train.batch_size == 1 and cfg.dataset.noise_px == 0.0
     assert cfg.dataset.sequence == "a-b:c"
     assert (cfg.dataset.width, cfg.dataset.height) == (5, 5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,33 @@ class TestBuildGraph:
         X1, _ = corr.normalized_points()
         expect = median_kth_distance(X1[g.kept_indices], 6)
         assert np.isclose(g.meta["radius"], expect)
+
+    def test_k_clamped(self):
+        # 40 matches, 28 of them inliers that survive the filter under the true E
+        corr = generate_scene(22, 40, (3, 10), small_pose(22), outlier_fraction=0.3)
+        E0 = essential_from_pose(corr.gt_relative)
+
+        def build(variant, k):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return build_graph(corr, GraphParams(k=k, variant=variant), E0=E0)
+
+        m = len(build("hard", 6).kept_indices)
+        assert 2 <= m < len(corr)
+        for variant in ("hard", "soft", "mutual"):
+            assert not build(variant, m - 1).meta["k_clamped"]
+            for k in (m, len(corr) - 1):
+                g = build(variant, k)
+                assert g.meta["k_clamped"] and g.meta["k"] == k
+                # the edges of k = m - 1, which is what the clamp gives
+                want = build(variant, m - 1).edges
+                assert all(np.array_equal(getattr(g.edges, a), getattr(want, a))
+                           for a in ("src", "dst", "weight"))
+        assert not build("radius", m).meta["k_clamped"]
+        assert not build("radius", len(corr) - 1).meta["k_clamped"]
+        for variant in ("hard", "soft", "radius", "mutual"):
+            for k in (len(corr), len(corr) + 5):
+                assert build(variant, k).meta["k_clamped"]
 
     def test_too_few_for_e0(self):
         from epigraph.errors import InsufficientCorrespondencesError

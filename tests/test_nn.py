@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from epigraph import nn
+from epigraph.config import ExperimentConfig
 from epigraph.errors import (
     EmptyGraphError,
     InvalidInputError,
@@ -19,7 +20,7 @@ from epigraph.geom import Pose, quat_from_axis_angle
 from epigraph.graph import VARIANTS, Edges, EpipolarGraph, GraphParams, build_edges, build_graph
 from epigraph.losses import LossWeights, PoseTarget
 from epigraph.synth import generate_scene
-from epigraph.train import TrainConfig, _ckpt_meta, graph_params_from_meta, weights_from_meta
+from epigraph.train import _ckpt_meta, graph_params_from_meta, weights_from_meta
 
 # one layer of every kind
 EVERY_KIND = (nn.LayerSpec("gcn", 6, 8), nn.LayerSpec("gat", 8, 8, heads=2),
@@ -795,21 +796,19 @@ def bits(a):
 @settings(max_examples=30, deadline=None)
 @given(st.data(), st.sampled_from(nn.PRESET_NAMES), st.integers(0, 2 ** 62),
        st.builds(LossWeights, lambda_pose=finite_weight, lambda_frob=finite_weight,
-                 lambda_yaw=finite_weight),
+                 lambda_yaw=finite_weight, normalized_e=st.booleans()),
        st.builds(GraphParams, k=st.integers(1, 2 ** 40), tau=positive,
                  variant=st.sampled_from(VARIANTS), radius=st.none() | positive,
                  e0_m=st.integers(8, 2 ** 40), e0_iters=st.integers(0, 2 ** 40)),
-       st.booleans(), st.integers(1, 10 ** 6), any_float)
-def test_checkpoint_round_trip_is_bitwise(data, preset, step, weights, gp, normalized_e,
-                                          epoch, val_total):
+       st.integers(1, 10 ** 6), any_float)
+def test_checkpoint_round_trip_is_bitwise(data, preset, step, weights, gp, epoch, val_total):
     cfg = nn.preset_config(preset, hidden=4)
     params = nn.init_params(cfg)
     for store in (params.tensors, params.m, params.v):
         for name, ref in list(store.items()):
             store[name] = data.draw(arrays(np.float64, ref.shape, elements=finite_float))
     params.step = step
-    meta = _ckpt_meta(TrainConfig(cfg, graph=gp, weights=weights,
-                                  normalized_e=normalized_e), epoch, val_total)
+    meta = _ckpt_meta(ExperimentConfig(graph=gp, loss=weights), epoch, val_total)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "model.ckpt")
         nn.save_checkpoint(path, params, cfg, meta)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from epigraph import nn
+from epigraph import train as train_mod
+from epigraph.config import ExperimentConfig, ModelSection, TrainSection
 from epigraph.errors import (
     InsufficientCorrespondencesError,
     SchemaVersionError,
@@ -15,7 +17,7 @@ from epigraph.losses import LossWeights
 from epigraph.synth import CorrespondenceSet, generate_scene
 from epigraph.train import (
     EpochStats,
-    TrainConfig,
+    GraphCache,
     graph_params_from_meta,
     load_model,
     predict,
@@ -41,9 +43,10 @@ def tiny_dataset(n_pairs=6, n_points=40, seed=100):
             for i in range(n_pairs)]
 
 
-def tiny_config(epochs=3, seed=0, **kw):
-    return TrainConfig(model=nn.preset_config("GIN_SumPool", hidden=16),
-                       epochs=epochs, seed=seed, **kw)
+def tiny_config(epochs=3, seed=0, graph=GraphParams(), loss=LossWeights(), **train_kw):
+    return ExperimentConfig(seed=seed, graph=graph, loss=loss,
+                            model=ModelSection("GIN_SumPool", hidden=16),
+                            train=TrainSection(epochs=epochs, **train_kw))
 
 
 class TestSplit:
@@ -74,7 +77,9 @@ class TestSplit:
 class TestTrainLoop:
     def test_zero_lr_leaves_params_unchanged(self, tmp_path):
         data = tiny_dataset()
-        cfg = tiny_config(epochs=2, lr=0.0)
+        cfg = tiny_config(epochs=2)
+        # a config refuses lr=0; set it past that check to test the loop itself
+        object.__setattr__(cfg.train, "lr", 0.0)
         ckpt = tmp_path / "ckpt.txt"
         train(cfg, data, ckpt, final_checkpoint_path=tmp_path / "final.txt")
         params, model_cfg, _ = nn.load_checkpoint(tmp_path / "final.txt")
@@ -179,6 +184,37 @@ class TestTrainLoop:
         assert len(qs) == len(data)
 
 
+class TestGraphCache:
+    def test_same_set_and_params_give_the_same_tensors(self, monkeypatch):
+        calls = []
+        real = train_mod.build_graph
+        monkeypatch.setattr(train_mod, "build_graph",
+                            lambda corr, **kw: calls.append(corr) or real(corr, **kw))
+        corr = tiny_dataset(1)[0]
+        cache = GraphCache()
+        first = cache.get(corr, GraphParams())
+        assert cache.get(corr, GraphParams()) is first
+        assert cache.get(corr, GraphParams(k=4)) is not first
+        assert calls == [corr, corr]
+
+    def test_failed_pair_raises_its_error_again(self):
+        bad = generate_scene(1, 7, (3, 10), small_pose(1))  # too few matches for E0
+        cache = GraphCache()
+        with pytest.raises(InsufficientCorrespondencesError) as first:
+            cache.get(bad, GraphParams())
+        with pytest.raises(InsufficientCorrespondencesError) as again:
+            cache.get(bad, GraphParams())
+        assert again.value is first.value
+
+    def test_two_caches_share_nothing(self):
+        corr = tiny_dataset(1)[0]
+        a, b = GraphCache(), GraphCache()
+        ga = a.get(corr, GraphParams())
+        assert b.store == {}
+        assert b.get(corr, GraphParams()) is not ga
+        assert list(a.store) == list(b.store) == [(corr, GraphParams())]
+
+
 class TestEvaluate:
     def test_idempotent(self, tmp_path):
         data = tiny_dataset(6, seed=500)
@@ -197,7 +233,7 @@ class TestEvaluate:
 
     def test_meta_round_trip_helpers(self, tmp_path):
         default = GraphParams()
-        weights = LossWeights(0.5, 1.5, 0.0)
+        weights = LossWeights(0.5, 1.5, 0.0, normalized_e=True)
         data = tiny_dataset(6, seed=700)
         for radius in (None, 0.25):
             gp = GraphParams(k=4, tau=2e-4, variant="soft", radius=radius, e0_m=12,
@@ -205,16 +241,24 @@ class TestEvaluate:
             assert all(getattr(gp, f.name) != getattr(default, f.name)
                        for f in dataclasses.fields(gp) if f.name != "radius")
             path = tmp_path / f"j_{radius}.txt"
-            train(tiny_config(graph=gp, weights=weights, normalized_e=True), data, path)
+            train(tiny_config(graph=gp, loss=weights), data, path)
             _, _, meta = nn.load_checkpoint(path)
             assert graph_params_from_meta(meta) == gp
             assert weights_from_meta(meta) == weights
             assert list(meta) == (["seed", "epoch", "val_total",
-                                   *(f.name for f in dataclasses.fields(weights)),
-                                   "normalized_e"]
+                                   *(f.name for f in dataclasses.fields(weights))]
                                   + [f"graph.{f.name}" for f in dataclasses.fields(gp)])
             model = load_model(path)
-            assert (model.graph, model.weights, model.normalized_e) == (gp, weights, True)
+            assert (model.graph, model.weights, model.weights.normalized_e) == (gp, weights,
+                                                                                True)
+
+    def test_meta_key_order_is_pinned(self, tmp_path):
+        train(tiny_config(seed=9), tiny_dataset(6, seed=900), tmp_path / "p.txt")
+        _, _, meta = nn.load_checkpoint(tmp_path / "p.txt")
+        assert list(meta) == ["seed", "epoch", "val_total", "lambda_pose", "lambda_frob",
+                              "lambda_yaw", "normalized_e", "graph.k", "graph.tau",
+                              "graph.variant", "graph.radius", "graph.e0_m",
+                              "graph.e0_iters"]
 
     def test_schema_error_on_stripped_meta(self, tmp_path):
         data = tiny_dataset(6, seed=800)
