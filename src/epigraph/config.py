@@ -55,7 +55,8 @@ class DatasetSection:
             raise InvalidInputError(
                 f"dataset.kind must be synthetic or files, got {self.kind!r}")
         if self.motion not in ("forward", "arc", "random-walk"):
-            raise InvalidInputError(f"unknown motion model {self.motion!r}")
+            raise InvalidInputError("dataset.motion must be one of forward, arc, "
+                                    f"random-walk, got {self.motion!r}")
         # dataset files split their records on whitespace and cannot hold a surrogate
         if not self.sequence or " " in self.sequence or not self.sequence.isprintable():
             raise InvalidInputError(f"dataset.sequence must be printable, nonempty and "
@@ -94,8 +95,8 @@ class ModelSection:
 
     def __post_init__(self):
         if self.preset not in nn.PRESET_NAMES:
-            raise InvalidInputError(f"unknown preset {self.preset!r}; "
-                                    f"known: {', '.join(nn.PRESET_NAMES)}")
+            raise InvalidInputError(f"model.preset must be one of "
+                                    f"{', '.join(nn.PRESET_NAMES)}, got {self.preset!r}")
         if self.hidden < 1:
             raise InvalidInputError(f"model.hidden must be >= 1, got {self.hidden!r}")
 
@@ -125,7 +126,8 @@ class EvalSection:
 
     def __post_init__(self):
         if self.baseline not in ("none", "eightpoint"):
-            raise InvalidInputError(f"unknown baseline {self.baseline!r}")
+            raise InvalidInputError(
+                f"eval.baseline must be one of none, eightpoint, got {self.baseline!r}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Classical essential-matrix estimation.
 
-Constraint-matrix assembly, nullspace solve with Hartley renormalization,
-projection onto the essential manifold, four-way decomposition with
-cheirality disambiguation, and the confidence-seeded initial estimate E0
-used for graph pruning.
+Constraint-matrix assembly, nullspace solve with Hartley renormalization
+through the 9x9 Gram matrix (the SVD only where its eigenvalues cannot
+certify the rank), projection onto the essential manifold, four-way
+decomposition with cheirality disambiguation, and the confidence-seeded
+initial estimate E0 used for graph pruning.
 
 Estimated matrices are canonicalized: unit Frobenius norm, sign fixed so
 the largest-magnitude entry is positive.
@@ -119,14 +120,17 @@ def solve_eight_point(pairs):
     """Normalized eight-point solve on intrinsics-normalized pairs.
 
     Hartley isotropic renormalization is applied internally as a
-    conditioning safeguard.  The result is projected to the essential
-    manifold and canonicalized (unit Frobenius norm, fixed sign).
+    conditioning safeguard.  E's null vector is the smallest eigenvector of
+    the 9x9 Gram matrix AᵀA; ``eigh`` resolves λ to about ε·λ8, so a set
+    with λ1 > 1e-12·λ8 is certainly rank 8 (σ7 >= 1e-10·σ0), and any other
+    set is judged and solved by the SVD of A.  The result is projected to
+    the essential manifold and canonicalized (unit Frobenius norm, fixed sign).
 
     ``pairs`` is a tuple of two (N, 3) arrays, N >= 8, returning E (3, 3);
     an unsolvable set raises DegenerateGeometryError.  It may instead be a
     tuple of two (S, m, 3) arrays, S subsets of m >= 8 pairs each, solved
-    in one batched SVD: the result is then ``(E, ok)``, E (S, 3, 3) and
-    ok an (S,) mask of the solvable subsets, whose E equals the single
+    in one batched ``eigh``: the result is then ``(E, ok)``, E (S, 3, 3)
+    and ok an (S,) mask of the solvable subsets, whose E equals the single
     solve of that subset; the other members of E are zero.
     """
     X1, X2 = _as_point_arrays(pairs)
@@ -141,13 +145,18 @@ def solve_eight_point(pairs):
     if not stacked and not (ok1[0] and ok2[0]):
         raise DegenerateGeometryError("all points coincide; cannot condition")
     A = _constraint_rows(X1c, X2c)
-    # U is discarded; a reduced SVD still yields the whole 9x9 Vt when m >= 9
-    _, S, Vt = np.linalg.svd(A, full_matrices=m < 9)
-    # rank(A) must be >= 8 so the nullspace direction is well determined
-    ok = ok1 & ok2 & ~(S[:, 7] < 1e-10 * S[:, 0])
+    lam, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
+    null = V[:, :, 0]
+    ok = ok1 & ok2
+    unsure = ok & ~(lam[:, 1] > 1e-12 * lam[:, 8])
+    if unsure.any():
+        # U is discarded; a reduced SVD still yields the whole 9x9 Vt when m >= 9
+        _, S, Vt = np.linalg.svd(A[unsure], full_matrices=m < 9)
+        ok[unsure] = ~(S[:, 7] < 1e-10 * S[:, 0])
+        null[unsure] = Vt[:, -1]
     if not stacked and not ok[0]:
         raise DegenerateGeometryError("constraint matrix is rank-deficient (rank < 8)")
-    E = T2[ok].transpose(0, 2, 1) @ Vt[ok, -1].reshape(-1, 3, 3) @ T1[ok]
+    E = T2[ok].transpose(0, 2, 1) @ null[ok].reshape(-1, 3, 3) @ T1[ok]
     if not stacked:
         return canonicalize_essential(project_to_essential(E))[0]
     out = np.zeros((n_sets, 3, 3))
@@ -156,23 +165,18 @@ def solve_eight_point(pairs):
     return out, ok
 
 
-def _validate_essential(E, tol=1e-6):
+def decompose_essential(E) -> list[Pose]:
+    """Four (R, unit-t) candidates of an essential matrix, whose singular
+    values must be (s, s, 0) within 1e-6·s."""
     E = np.asarray(E, dtype=float)
     if E.shape != (3, 3):
         raise InvalidEssentialError(f"expected 3x3 matrix, got {E.shape}")
-    S = np.linalg.svd(E, compute_uv=False)
+    U, S, Vt = np.linalg.svd(E)
     if S[0] < 1e-15:
         raise InvalidEssentialError("zero matrix is not essential")
-    if S[2] / S[0] > tol or abs(S[0] - S[1]) / S[0] > tol:
+    if S[2] / S[0] > 1e-6 or abs(S[0] - S[1]) / S[0] > 1e-6:
         raise InvalidEssentialError(
             f"singular values {S} violate the essential structure")
-    return E
-
-
-def decompose_essential(E) -> list[Pose]:
-    """Four (R, unit-t) candidates of an essential matrix."""
-    E = _validate_essential(E)
-    U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
         U = U.copy()
         U[:, -1] *= -1
@@ -330,7 +334,7 @@ def recover_pose(pairs) -> Pose:
 
 
 def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
-                seed: int = 0) -> np.ndarray:
+                seed: int = 0, points=None) -> np.ndarray:
     """Initial essential estimate from a minimal high-confidence subset.
 
     Seeds with the m most confident correspondences and scores that
@@ -342,8 +346,9 @@ def estimate_E0(corr, tau: float = 1e-4, m: int = 16, iters: int = 32,
     image, and scored all at once as an (iters, N) distance array.  The
     first of the 1 + iters candidates with the most inliers is returned,
     so the confidence-seeded one wins ties.  Deterministic given the seed.
+    ``points``, if given, are ``corr.normalized_points()``.
     """
-    X1, X2 = corr.normalized_points()
+    X1, X2 = corr.normalized_points() if points is None else points
     n = len(X1)
     if n < 8:
         raise InsufficientCorrespondencesError(f"need >= 8 correspondences, got {n}")

@@ -227,18 +227,20 @@ def sampson_distances(X1, X2, E) -> np.ndarray:
     degenerate denominators map to +inf (0 when the residual is exactly 0 too).
 
     ``E`` is one (3, 3) matrix, giving (N,) distances, or a (S, 3, 3)
-    stack, giving (S, N): every point pair under every matrix.
+    stack, giving (S, N): every point pair under every matrix, with E·x1
+    and Eᵀ·x2 each one (3S, 3) @ (3, N) product (S = 1 for a single E).
     """
-    X1 = np.asarray(X1, dtype=float)
-    X2 = np.asarray(X2, dtype=float)
+    X1, X2 = np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
     E = np.asarray(E, dtype=float)
-    Ex1 = X1 @ np.swapaxes(E, -1, -2)
-    Etx2 = X2 @ E
-    r2 = np.einsum("...ij,...ij->...i", X2, Ex1) ** 2
-    den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
+    Es = E.reshape(-1, 3, 3)
+    shape = (len(Es), 3, len(X1))
+    Ex1 = (Es.reshape(-1, 3) @ X1.T).reshape(shape)
+    Etx2 = (Es.transpose(0, 2, 1).reshape(-1, 3) @ X2.T).reshape(shape)
+    r2 = (Ex1 * X2.T).sum(axis=1) ** 2
+    den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
     bad = den < 1e-18
-    return np.where(bad, np.where(r2 == 0.0, 0.0, np.inf),
-                    r2 / np.where(bad, 1.0, den))
+    d = np.where(bad, np.where(r2 == 0.0, 0.0, np.inf), r2 / np.where(bad, 1.0, den))
+    return d.reshape(E.shape[:-2] + d.shape[-1:])
 
 
 def relative_pose(Ti: Pose, Tj: Pose) -> Pose:

@@ -174,15 +174,16 @@ def median_kth_distance(coords, k: int = 6) -> float:
 # Sampson pruning and the full pipeline
 # ---------------------------------------------------------------------------
 
-def sampson_filter(corr, E0, tau: float) -> np.ndarray:
-    """Indices whose Sampson distance under E0 is below tau, order preserved."""
+def sampson_filter(corr, E0, tau: float, points=None) -> np.ndarray:
+    """Indices whose Sampson distance under E0 is below tau, order preserved;
+    ``points``, if given, are ``corr.normalized_points()``."""
     if not tau > 0:
         raise InvalidInputError("tau must be positive")
     n = len(corr)
     if np.isinf(tau):
         kept = np.arange(n)
     else:
-        X1, X2 = corr.normalized_points()
+        X1, X2 = corr.normalized_points() if points is None else points
         d = sampson_distances(X1, X2, E0)
         kept = np.nonzero(d < tau)[0]
     if len(kept) == 0:
@@ -200,15 +201,15 @@ def build_graph(corr, params: GraphParams = GraphParams(),
     set when k reaches the match count or, on a k-NN variant, the survivor
     count.
     """
-    X1, X2 = corr.normalized_points()
+    points = X1, X2 = corr.normalized_points()
     n = len(X1)
 
     if E0 is None:
-        E0 = estimate_E0(corr, tau=params.tau, m=params.e0_m, iters=params.e0_iters)
+        E0 = estimate_E0(corr, params.tau, params.e0_m, params.e0_iters, points=points)
     else:
         E0 = np.asarray(E0, dtype=float)
 
-    kept = sampson_filter(corr, E0, params.tau)
+    kept = sampson_filter(corr, E0, params.tau, points)
     # the homogeneous third coordinate is 1 everywhere and adds nothing to a distance
     coords = X1[kept, :2]
 

@@ -179,7 +179,8 @@ UNRUNNABLE = ["graph.k=0", "graph.tau=0", "graph.tau=-1e-4", "graph.tau=nan",
               "dataset.depth_max=nan", "dataset.depth_max=inf", "dataset.fps=inf",
               "dataset.fps=nan", "dataset.step_m=nan", "dataset.step_m=-inf",
               "dataset.width=0", "dataset.height=-5", "dataset.width=4", "dataset.height=4",
-              "dataset.cx=inf", "dataset.cy=nan", "dataset.fx=nan", "dataset.fy=-inf"]
+              "dataset.cx=inf", "dataset.cy=nan", "dataset.fx=nan", "dataset.fy=-inf",
+              "dataset.motion=teleport", "model.preset=foo", "eval.baseline=foo"]
 
 
 @pytest.mark.parametrize("override", UNRUNNABLE)
@@ -193,11 +194,13 @@ def test_unrunnable_value_is_config_error_naming_its_field(override):
 MESSAGES = {
     "train.split=1.5": "train.split must lie strictly between 0 and 1",
     "train.split=0": "train.split must lie strictly between 0 and 1",
-    "model.preset=foo": "unknown preset 'foo'; known: GAT+2GCN, 3GCN+GAT, GIN_SumPool",
-    "eval.baseline=foo": "unknown baseline 'foo'",
+    "model.preset=foo": "model.preset must be one of GAT+2GCN, 3GCN+GAT, GIN_SumPool, "
+                        "got 'foo'",
+    "eval.baseline=foo": "eval.baseline must be one of none, eightpoint, got 'foo'",
     "loss.lambda_pose=-1": "loss.lambda_pose must be finite and nonnegative, got -1.0",
     "dataset.kind=foo": "dataset.kind must be synthetic or files, got 'foo'",
-    "dataset.motion=teleport": "unknown motion model 'teleport'",
+    "dataset.motion=teleport": ("dataset.motion must be one of forward, arc, random-walk, "
+                                "got 'teleport'"),
     "train.batch_size=0": "train.batch_size must be >= 1, got 0",
 }
 

@@ -432,19 +432,29 @@ class TestPairedCheirality:
             calls.append(1)
             return real(*args, **kwargs)
 
-        eigh_calls = []
-        real_eigh = np.linalg.eigh
+        eigh_shapes, svd_shapes = [], []
+        real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
 
         def counting_eigh(a):
-            eigh_calls.append(len(a))
+            eigh_shapes.append(a.shape)
             return real_eigh(a)
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(a.shape)
+            return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(epipolar, "triangulate_dlt", counting)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         X1, X2 = scene_points(small_pose(46), seed=47, n=50, noise=0.5)
         recover_pose((X1, X2))
         assert len(calls) == 2
-        assert eigh_calls == [50, 50]
+        # one Gram solve of the eight-point, then one (N, 4, 4) stack per DLT solve
+        assert [s for s in eigh_shapes if s[1:] == (9, 9)] == [(1, 9, 9)]
+        assert [s for s in eigh_shapes if s[1:] == (4, 4)] == [(50, 4, 4)] * 2
+        assert len(eigh_shapes) == 3
+        # the set is certified, so A (last axis 9) never goes through an SVD
+        assert not [s for s in svd_shapes if s[-1] == 9]
 
     def test_decompose_converts_each_rotation_once(self, monkeypatch):
         E = essential_from_pose(small_pose(48))
@@ -862,3 +872,190 @@ class TestEarlyStopE0:
         calls = self._count_calls(monkeypatch)
         estimate_E0(corr, iters=32)
         assert calls == {"solve": 2, "choice": 32}
+
+
+def svd_eight_point(pairs):
+    """The eight-point solve through the SVD of the constraint matrix A, as
+    it was before the Gram solve; the oracle of TestGramSolve."""
+    X1, X2 = (np.asarray(a, dtype=float) for a in pairs)
+    stacked = X1.ndim == 3
+    if not stacked:
+        X1, X2 = X1[None], X2[None]
+    m = X1.shape[1]
+    X1c, T1, ok1 = epipolar._hartley_transform(X1)
+    X2c, T2, ok2 = epipolar._hartley_transform(X2)
+    A = epipolar._constraint_rows(X1c, X2c)
+    _, S, Vt = np.linalg.svd(A, full_matrices=m < 9)
+    ok = ok1 & ok2 & ~(S[:, 7] < 1e-10 * S[:, 0])
+    E = np.zeros((len(X1), 3, 3))
+    if ok.any():
+        M = T2[ok].transpose(0, 2, 1) @ Vt[ok, -1].reshape(-1, 3, 3) @ T1[ok]
+        E[ok] = canonicalize_essential(project_to_essential(M))
+    return (E, ok) if stacked else (E[0], ok[0])
+
+
+def near_rank_seven(delta, n=12, seed=70):
+    """Points of a coplanar pure rotation (rank(A) < 8) with the view-2
+    points moved by ``delta``: σ7/σ0 of the conditioned A is about delta."""
+    X1, X2 = coplanar_pure_rotation(n, seed=seed)
+    X2 = X2.copy()
+    X2[:, :2] += delta * np.random.default_rng(seed).normal(size=(n, 2))
+    return X1, X2
+
+
+def conditioned_ratio(X1, X2):
+    """σ7/σ0 of the Hartley-conditioned constraint matrix of one set."""
+    X1c, _, _ = epipolar._hartley_transform(X1[None])
+    X2c, _, _ = epipolar._hartley_transform(X2[None])
+    S = np.linalg.svd(epipolar._constraint_rows(X1c, X2c)[0], compute_uv=False)
+    return S[7] / S[0]
+
+
+def record_svd_of_A(monkeypatch):
+    """Patch np.linalg.svd to record the shape of every constraint-matrix
+    (last axis 9) stack it factors."""
+    shapes, real = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        if np.shape(a)[-1] == 9:
+            shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+class TestGramSolve:
+    @pytest.mark.parametrize("n", [8, 9, 16, 200])
+    @pytest.mark.parametrize("noise,outliers", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.3)])
+    def test_single_sets_match_the_svd(self, n, noise, outliers):
+        for seed in range(5):
+            corr = generate_scene(80 + seed, n, (3.0, 10.0), small_pose(80 + seed),
+                                  noise_px=noise, outlier_fraction=outliers)
+            X1, X2 = corr.normalized_points()
+            want, ok = svd_eight_point((X1, X2))
+            assert ok
+            np.testing.assert_allclose(solve_eight_point((X1, X2)), want,
+                                       rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("noise,outliers", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.3)])
+    def test_stacks_match_the_svd(self, noise, outliers):
+        corr = generate_scene(90, 200, (3.0, 10.0), small_pose(90), noise_px=noise,
+                              outlier_fraction=outliers)
+        X1, X2 = corr.normalized_points()
+        rng = np.random.default_rng(91)
+        idx = np.stack([rng.choice(200, size=16, replace=False) for _ in range(32)])
+        S1, S2 = X1[idx], X2[idx]
+        # member 3 is rank-deficient, member 7 has all points coinciding
+        S1[3], S2[3] = coplanar_pure_rotation(16)
+        S1[7] = S2[7] = [0.0, 0.0, 1.0]
+        E, ok = solve_eight_point((S1, S2))
+        want, want_ok = svd_eight_point((S1, S2))
+        assert np.array_equal(ok, want_ok) and ok.sum() == 30
+        np.testing.assert_allclose(E, want, rtol=0, atol=1e-9)
+
+    def test_certified_sets_take_no_svd(self, monkeypatch):
+        X1, X2 = scene_points(small_pose(92), seed=93, n=200, noise=0.5)
+        shapes = record_svd_of_A(monkeypatch)
+        solve_eight_point((X1, X2))
+        idx = np.random.default_rng(94).choice(200, size=(32, 16))
+        solve_eight_point((X1[idx], X2[idx]))
+        assert shapes == []
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-8, 1e-7])
+    def test_near_rank_deficient_set_falls_back_to_the_svd(self, monkeypatch, delta):
+        X1, X2 = near_rank_seven(delta)
+        # eigh cannot certify these sets (λ1 <= 1e-12·λ8), but the SVD
+        # still passes them as rank 8 (σ7 >= 1e-10·σ0)
+        assert 1e-10 < conditioned_ratio(X1, X2) < 1e-6
+        want, want_ok = svd_eight_point((X1, X2))
+        assert want_ok
+        good1, good2 = scene_points(small_pose(95), seed=96, n=12, noise=0.5)
+        shapes = record_svd_of_A(monkeypatch)
+        # judged, and solved, by the same SVD as before: bit for bit
+        assert np.array_equal(solve_eight_point((X1, X2)), want)
+        E, ok = solve_eight_point((np.stack([good1, X1, good1]),
+                                   np.stack([good2, X2, good2])))
+        assert ok.all() and np.array_equal(E[1], want)
+        assert shapes == [(1, 12, 9), (1, 12, 9)]
+
+    def test_barely_rank_deficient_set_is_refused(self, monkeypatch):
+        X1, X2 = near_rank_seven(1e-13)
+        assert conditioned_ratio(X1, X2) < 1e-10
+        assert not svd_eight_point((X1, X2))[1]
+        with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
+            solve_eight_point((X1, X2))
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_exactly_rank_seven(self, m):
+        X1, X2 = scene_points(small_pose(97), seed=98, n=m, noise=0.5)
+        X1, X2 = X1.copy(), X2.copy()
+        # two repeated matches leave at most 7 independent rows
+        X1[1], X2[1] = X1[0], X2[0]
+        if m == 9:
+            X1[2], X2[2] = X1[0], X2[0]
+        with pytest.raises(DegenerateGeometryError,
+                           match="constraint matrix is rank-deficient"):
+            solve_eight_point((X1, X2))
+        good1, good2 = scene_points(small_pose(99), seed=100, n=m, noise=0.5)
+        E, ok = solve_eight_point((np.stack([good1, X1]), np.stack([good2, X2])))
+        assert ok.tolist() == [True, False] and not E[1].any()
+
+
+class TestE0Draws:
+    @pytest.mark.parametrize("n,m,iters,seed", [(200, 16, 32, 0), (40, 8, 5, 3),
+                                                (9, 9, 4, 11)])
+    def test_subsets_are_the_generator_draws(self, monkeypatch, n, m, iters, seed):
+        corr = generate_scene(101, n, (3.0, 10.0), small_pose(101), noise_px=0.5,
+                              outlier_fraction=0.5)
+        X1, X2 = corr.normalized_points()
+        rng = np.random.default_rng(seed)
+        subsets = np.stack([rng.choice(n, size=m, replace=False) for _ in range(iters)])
+        seen, solve = [], epipolar.solve_eight_point
+        monkeypatch.setattr(epipolar, "solve_eight_point",
+                            lambda pairs: seen.append(pairs) or solve(pairs))
+        estimate_E0(corr, m=m, iters=iters, seed=seed)
+        assert len(seen) == 2
+        assert np.array_equal(seen[1][0], X1[subsets])
+        assert np.array_equal(seen[1][1], X2[subsets])
+
+    def test_given_points_are_used_as_they_are(self):
+        corr = generate_scene(102, 120, (3.0, 10.0), small_pose(102), noise_px=0.5,
+                              outlier_fraction=0.3)
+        points = corr.normalized_points()
+        assert np.array_equal(estimate_E0(corr, seed=4, points=points),
+                              estimate_E0(corr, seed=4))
+        swapped = estimate_E0(corr, seed=4, points=points[::-1])
+        assert np.array_equal(swapped, estimate_E0(
+            PointSet(points[1], points[0], corr.confidences()), seed=4))
+
+
+class TestStackedSampson:
+    def test_rows_match_single_calls(self):
+        X1, X2 = scene_points(small_pose(103), seed=104, n=200, noise=0.5)
+        rng = np.random.default_rng(105)
+        Es = np.concatenate([rng.normal(size=(31, 3, 3)),
+                             essential_from_pose(small_pose(103))[None]])
+        d = sampson_distances(X1, X2, Es)
+        assert d.shape == (32, 200)
+        for s in range(32):
+            np.testing.assert_allclose(d[s], sampson_distances(X1, X2, Es[s]),
+                                       rtol=1e-12, atol=0)
+        assert sampson_distances(X1, X2, Es[:1]).shape == (1, 200)
+
+    def test_degenerate_denominators_in_a_stack(self):
+        # E3 has only E[2, 2]: no first two components of E x1 or Eᵀ x2, so
+        # the denominator vanishes over a residual of 1 (inf); the zero
+        # matrix gives a zero residual over it (0)
+        E3 = np.zeros((3, 3))
+        E3[2, 2] = 1.0
+        Es = np.stack([np.eye(3), E3, np.zeros((3, 3)), E3])
+        X1 = [[0.1, 0.2, 1.0], [0.0, 0.0, 1.0]]
+        X2 = [[0.3, 0.4, 1.0], [0.0, 0.0, 1.0]]
+        d = sampson_distances(X1, X2, Es)
+        assert d[1].tolist() == d[3].tolist() == [np.inf, np.inf]
+        assert d[2].tolist() == [0.0, 0.0]
+        # under I, the second pair's denominator vanishes too, over a residual of 1
+        assert np.isfinite(d[0, 0]) and d[0, 1] == np.inf
+        for s in range(4):
+            assert np.array_equal(d[s], sampson_distances(X1, X2, Es[s]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epigraph.epipolar import canonicalize_essential
+from epigraph.epipolar import canonicalize_essential, estimate_E0
 from epigraph.errors import EmptyGraphError, InvalidInputError
 from epigraph.geom import Intrinsics, Pose, essential_from_pose, quat_from_axis_angle
 from epigraph.graph import (
@@ -319,6 +319,19 @@ class TestBuildGraph:
         for variant in ("hard", "soft", "radius", "mutual"):
             for k in (len(corr), len(corr) + 5):
                 assert build(variant, k).meta["k_clamped"]
+
+    def test_points_normalized_once(self, monkeypatch):
+        corr = generate_scene(23, 120, (3, 10), small_pose(23), noise_px=0.5,
+                              outlier_fraction=0.3)
+        E0 = estimate_E0(corr)
+        kept = sampson_filter(corr, E0, 1e-4)
+        calls, real = [], corr.normalized_points
+        monkeypatch.setattr(corr, "normalized_points", lambda: calls.append(1) or real())
+        g = build_graph(corr)
+        # E0 and the kept set are those of the calls that normalize on their own
+        assert len(calls) == 1
+        assert np.array_equal(g.meta["e0"], E0)
+        assert np.array_equal(g.kept_indices, kept)
 
     def test_too_few_for_e0(self):
         from epigraph.errors import InsufficientCorrespondencesError
