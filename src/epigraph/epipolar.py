@@ -55,6 +55,12 @@ def canonicalize_essential(E) -> np.ndarray:
     by member.
     """
     E = np.asarray(E, dtype=float)
+    _require_finite("E", E)
+    return _canonicalize(E)
+
+
+def _canonicalize(E) -> np.ndarray:
+    """canonicalize_essential on a finite float array."""
     flat = E.reshape(-1, 9)
     n = _frobenius(flat)
     if np.any(n < 1e-15):
@@ -108,6 +114,12 @@ def project_to_essential(M) -> np.ndarray:
     member.
     """
     M = np.asarray(M, dtype=float)
+    _require_finite("E", M)
+    return _project(M)
+
+
+def _project(M) -> np.ndarray:
+    """project_to_essential on a finite float array."""
     if np.any(_frobenius(M) < 1e-15):
         raise InvalidInputError("cannot project the zero matrix")
     U, S, Vt = np.linalg.svd(M)
@@ -158,10 +170,10 @@ def solve_eight_point(pairs):
         raise DegenerateGeometryError("constraint matrix is rank-deficient (rank < 8)")
     E = T2[ok].transpose(0, 2, 1) @ null[ok].reshape(-1, 3, 3) @ T1[ok]
     if not stacked:
-        return canonicalize_essential(project_to_essential(E))[0]
+        return _canonicalize(_project(E))[0]
     out = np.zeros((n_sets, 3, 3))
     if ok.any():
-        out[ok] = canonicalize_essential(project_to_essential(E))
+        out[ok] = _canonicalize(_project(E))
     return out, ok
 
 
@@ -171,6 +183,7 @@ def decompose_essential(E) -> list[Pose]:
     E = np.asarray(E, dtype=float)
     if E.shape != (3, 3):
         raise InvalidEssentialError(f"expected 3x3 matrix, got {E.shape}")
+    _require_finite("E", E)
     U, S, Vt = np.linalg.svd(E)
     if S[0] < 1e-15:
         raise InvalidEssentialError("zero matrix is not essential")

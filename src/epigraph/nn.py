@@ -2,7 +2,8 @@
 
 GCN, GAT and GIN layers, global pooling, a shared MLP trunk with
 separate translation/quaternion heads, a bias-corrected Adam optimizer,
-plain-text checkpoints, and a finite-difference gradient checker.  GCN
+plain-text checkpoints, and a finite-difference gradient checker whose
+probes rerun the stack only from the probed tensor's layer onward.  GCN
 and GIN propagate through dense (N, N) operators; GAT takes its softmax
 over an edge list and its message sums as one dense (N, N) product per
 head.
@@ -444,25 +445,38 @@ class ModelOutput(NamedTuple):
 
 
 def _run_layers(gt: GraphTensors, params: ModelParams, config: ModelConfig,
-                stop: int):
-    """Graph layers 0..stop-1 on the input features; returns the node
-    embeddings and each layer's cache."""
-    H = gt.x
+                stop: int, base=(), start: int = 0):
+    """Graph layers start..stop-1; returns the node embeddings and each
+    layer's cache.  A ``start`` above 0 takes its input, and the earlier
+    layers' caches, from ``base``, the layer caches of an earlier forward."""
+    H = base[start]["H"] if start else gt.x
     T = params.tensors
-    caches = []
-    for plan in config.layer_plan[:stop]:
+    caches = list(base[:start])
+    for plan in config.layer_plan[start:stop]:
         _check_shape(H, plan.spec)
         H, c = globals()[plan.forward](H, gt, *plan.tensors(T), plan.spec.activation)
         caches.append(c)
     return H, caches
 
 
-def model_forward(gt: GraphTensors, params: ModelParams, config: ModelConfig):
-    """Run the stack; returns (ModelOutput, cache) for a later backward."""
+def model_forward(gt: GraphTensors, params: ModelParams, config: ModelConfig,
+                  resume=None):
+    """Run the stack; returns (ModelOutput, cache) for a later backward.
+
+    ``resume = (cache, start)`` reruns graph layers ``start`` onward, and
+    only the head on the pooled ``z`` if ``start = len(config.layers)``,
+    reusing the rest of ``cache``: a forward of the same graph whose
+    tensors differ only from layer ``start`` on.  The bits are a full
+    forward's."""
     if gt.n == 0:
         raise EmptyGraphError("empty graph")
-    H, layer_caches = _run_layers(gt, params, config, len(config.layers))
-    z = pool(H, config.pooling)
+    base, start = resume or ({"layers": ()}, 0)
+    if start == len(config.layers):
+        layer_caches, z = base["layers"], base["z"]
+    else:
+        H, layer_caches = _run_layers(gt, params, config, len(config.layers),
+                                      base["layers"], start)
+        z = pool(H, config.pooling)
     T = params.tensors
     m_pre = z @ T["mlp1.W"] + T["mlp1.b"]
     m = np.maximum(m_pre, 0.0)
@@ -744,8 +758,10 @@ def grad_check(config: ModelConfig, gtensors: GraphTensors, target,
     by max(|analytic|_inf, |fd|_inf, 1e-3); the floor keeps finite-
     difference noise on zero-gradient tensors from dominating.  Each
     probe scores its two forwards with one ``losses.total_loss`` call
-    each and reads every term off the breakdowns.  The ``corrupt`` hook
-    perturbs one tensor's analytic gradient to verify the detector
+    each and reads every term off the breakdowns; the forwards resume the
+    unperturbed one from the probed tensor's layer (``model_forward``'s
+    ``resume``), so a head tensor reruns only the head.  The ``corrupt``
+    hook perturbs one tensor's analytic gradient to verify the detector
     itself.
 
     A central difference whose step straddles a ReLU kink averages two
@@ -783,16 +799,18 @@ def grad_check(config: ModelConfig, gtensors: GraphTensors, target,
     fd = {term: {k: np.zeros_like(v) for k, v in params.tensors.items()}
           for term in terms}
     kinks = {name: [0, 0] for name in params.tensors}
+    starts = {key: i for i, plan in enumerate(config.layer_plan) for key in plan.keys}
     for name, tensor in params.tensors.items():
+        resume = (cache, starts.get(name, len(config.layers)))
         flat = tensor.reshape(-1)
         a_flat = [analytic[term][name].reshape(-1).tolist() for term in terms]
         fd_flat = [fd[term][name].reshape(-1) for term in terms]
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            out_p, cache_p = model_forward(gtensors, params, config)
+            out_p, cache_p = model_forward(gtensors, params, config, resume)
             flat[idx] = orig - h
-            out_m, cache_m = model_forward(gtensors, params, config)
+            out_m, cache_m = model_forward(gtensors, params, config, resume)
             flat[idx] = orig
             bd_p = losses.total_loss(out_p.q, out_p.t, target)
             bd_m = losses.total_loss(out_m.q, out_m.t, target)

@@ -667,6 +667,38 @@ class TestNonFinitePoints:
             cheirality_select(cands, (X1, X2))
 
 
+class TestNonFiniteEssential:
+    """A NaN or infinite essential matrix raises InvalidInputError naming
+    E, never numpy's LinAlgError or a NaN result."""
+
+    @staticmethod
+    def broken(bad):
+        E = canonicalize_essential(essential_from_pose(small_pose(124)))
+        single = E.copy()
+        single[1, 2] = bad
+        return single, np.stack([E, single])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_canonicalize(self, bad):
+        single, stack = self.broken(bad)
+        for arg in (single, stack):
+            with pytest.raises(InvalidInputError, match="^E "):
+                canonicalize_essential(arg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_project(self, bad):
+        single, stack = self.broken(bad)
+        for arg in (single, stack):
+            with pytest.raises(InvalidInputError, match="^E "):
+                project_to_essential(arg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_decompose(self, bad):
+        single, _ = self.broken(bad)
+        with pytest.raises(InvalidInputError, match="^E "):
+            decompose_essential(single)
+
+
 def coplanar_pure_rotation(n, seed=11):
     """A fronto-parallel plane seen under zero translation: rank(A) < 8."""
     R = np.array(Pose(quat_from_axis_angle([0, 0, 1], 0.2), [0, 0, 0]).rotation())

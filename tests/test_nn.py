@@ -686,6 +686,63 @@ class TestGradCheck:
         assert len(calls) == 2 * probes
         assert len(forwards) == 1 + 2 * probes
 
+    @staticmethod
+    def start_layer(name, cfg):
+        """The first layer a tensor feeds, read off its ``L{i}.`` prefix;
+        a head tensor feeds none of them."""
+        return int(name[1:name.index(".")]) if name.startswith("L") else len(cfg.layers)
+
+    @pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+    def test_resumed_forward_is_bitwise_a_full_forward(self, preset):
+        cfg = nn.preset_config(preset, hidden=8)
+        params = nn.init_params(cfg, seed=6)
+        gt = random_graph(27, n=8)
+        out, base = nn.model_forward(gt, params, cfg)
+        # the entry of each tensor that moves the outputs most
+        grads = nn.model_backward(base, np.ones(4), np.ones(3), 1.0, params)
+
+        def arrays(out, cache):
+            # the outputs and every array _kink_masks reads
+            return [out.q, out.t_dir, np.float64(out.t_raw), cache["m_pre"],
+                    *(c[k] for c in cache["layers"] for k in ("P", "U1", "raw") if k in c)]
+
+        unperturbed, starts = arrays(out, base), set()
+        for name, tensor in params.tensors.items():
+            start = self.start_layer(name, cfg)
+            starts.add(start)
+            idx = np.abs(grads[name]).argmax()
+            tensor.reshape(-1)[idx] += 1e-3
+            full = arrays(*nn.model_forward(gt, params, cfg))
+            resumed = arrays(*nn.model_forward(gt, params, cfg, (base, start)))
+            tensor.reshape(-1)[idx] -= 1e-3
+            assert any(a.tobytes() != b.tobytes() for a, b in zip(full, unperturbed)), name
+            assert len(full) == len(resumed)
+            for a, b in zip(full, resumed):
+                assert a.tobytes() == b.tobytes(), (name, start)
+        assert starts == set(range(len(cfg.layers) + 1))
+
+    @pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+    def test_probes_rerun_layers_from_their_tensor_on(self, preset, monkeypatch):
+        cfg = nn.preset_config(preset, hidden=4)
+        params = nn.init_params(cfg, seed=7)
+        calls = {kind: 0 for kind in nn.LAYER_KINDS}
+        for kind in nn.LAYER_KINDS:
+            forward = getattr(nn, f"{kind}_forward")
+
+            def counted(*a, kind=kind, forward=forward):
+                calls[kind] += 1
+                return forward(*a)
+            monkeypatch.setattr(nn, f"{kind}_forward", counted)
+        expected = {kind: 0 for kind in nn.LAYER_KINDS}
+        for spec in cfg.layers:
+            expected[spec.kind] += 1
+        for name, tensor in params.tensors.items():
+            for spec in cfg.layers[self.start_layer(name, cfg):]:
+                expected[spec.kind] += 2 * tensor.size
+        nn.grad_check(cfg, random_graph(28, n=5), random_target(6), params=params,
+                      terms=["quat"])
+        assert calls == expected
+
     def test_empty_params_empty_report(self):
         gt = random_graph(24, n=5)
         cfg = nn.preset_config("3GCN+GAT")
