@@ -15,7 +15,6 @@ is built; ``parse_config`` reports a refused value as a ConfigError.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -219,15 +218,6 @@ def _records(cfg: ExperimentConfig) -> dict:
     record field."""
     return {"run": cfg, **{f.name: getattr(cfg, f.name) for f in fields(cfg)
                            if f.type not in _CODECS}}
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    cp = configparser.ConfigParser()
-    for section, record in _records(cfg).items():
-        cp[section] = encode(record)
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def parse_config(path=None, overrides=(), check_files: bool = True) -> ExperimentConfig:

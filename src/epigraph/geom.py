@@ -217,11 +217,6 @@ def skew(t) -> np.ndarray:
     ])
 
 
-def essential_from_pose(pose: Pose) -> np.ndarray:
-    """E = [t]x R. Zero translation yields the (degenerate) zero matrix."""
-    return skew(pose.t) @ pose.rotation()
-
-
 def sampson_distances(X1, X2, E) -> np.ndarray:
     """Vectorized Sampson distances (Hartley & Zisserman, MVG, 11.4.3);
     degenerate denominators map to +inf (0 when the residual is exactly 0 too).
@@ -252,9 +247,3 @@ def wrap_angle(a: float) -> float:
     """Wrap into (-pi, pi]."""
     a = (a + np.pi) % (2 * np.pi) - np.pi
     return float(np.pi) if a == -np.pi else float(a)
-
-
-def yaw_of(q) -> float:
-    """Yaw angle in radians, in (-pi, pi]: atan2(R[1,0], R[0,0])."""
-    R = quat_to_rot(q)
-    return float(np.arctan2(R[1, 0], R[0, 0]))

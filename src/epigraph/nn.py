@@ -1,12 +1,15 @@
 """Message-passing stack with analytic gradients.
 
-GCN, GAT and GIN layers, global pooling, a shared MLP trunk with
-separate translation/quaternion heads, a bias-corrected Adam optimizer,
-plain-text checkpoints, and a finite-difference gradient checker whose
-probes rerun the stack only from the probed tensor's layer onward.  GCN
-and GIN propagate through dense (N, N) operators; GAT takes its softmax
-over an edge list and its message sums as one dense (N, N) product per
-head.
+A model is one row of ``PRESETS`` (its GCN, GAT and GIN layer kinds, GAT
+head count and pooling) at a hidden width; ``ModelConfig`` names the row
+and the width, and every tensor shape follows from the two.  Around the
+graph layers sit global pooling, a shared MLP trunk with separate
+translation/quaternion heads, a bias-corrected Adam optimizer, plain-text
+checkpoints that record the preset and width, and a finite-difference
+gradient checker whose probes rerun the stack only from the probed
+tensor's layer onward.  GCN and GIN propagate through dense (N, N)
+operators; GAT takes its softmax over an edge list and its message sums
+as one dense (N, N) product per head.
 
 Graph structure (adjacency, attention topology, degrees) is constant
 under differentiation; only feature and parameter paths carry gradients.
@@ -33,9 +36,23 @@ from .errors import (
     StateError,
 )
 
-ACTIVATIONS = ("relu", "none")
-POOLINGS = ("mean", "sum")
-PRESET_NAMES = ("GAT+2GCN", "3GCN+GAT", "GIN_SumPool")
+FEATURE_DIM = 6     # width of a node's features, the first layer's input
+
+
+class Preset(NamedTuple):
+    kinds: tuple[str, ...]  # graph layers, input side first
+    heads: int              # attention heads of each GAT layer (1 without one)
+    pooling: str            # "mean" or "sum"
+
+
+# The model table: every model is one of these stacks at some hidden width,
+# each layer mapping to ``hidden`` columns.  Layer order follows the name.
+PRESETS = {
+    "GAT+2GCN": Preset(("gat", "gcn", "gcn"), 4, "mean"),
+    "3GCN+GAT": Preset(("gcn", "gcn", "gcn", "gat"), 4, "mean"),
+    "GIN_SumPool": Preset(("gin", "gin"), 1, "sum"),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -43,67 +60,46 @@ PRESET_NAMES = ("GAT+2GCN", "3GCN+GAT", "GIN_SumPool")
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    in_dim: int
-    out_dim: int
-    heads: int = 1
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise InvalidInputError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidInputError(f"unknown activation {self.activation!r}")
-        if self.in_dim < 1 or self.out_dim < 1 or self.heads < 1:
-            raise InvalidInputError("layer dimensions and heads must be >= 1")
-        if self.kind == "gat" and self.out_dim % self.heads != 0:
-            raise InvalidInputError("GAT out_dim must be divisible by heads")
-
-
-@dataclass(frozen=True)
 class ModelConfig:
-    layers: tuple[LayerSpec, ...]
-    pooling: str = "mean"
-    hidden: int = 64
+    """A preset at a hidden width: the whole model description."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if self.pooling not in POOLINGS:
-            raise InvalidInputError(f"unknown pooling {self.pooling!r}")
-        if not self.layers:
-            raise InvalidInputError("a model needs at least one graph layer")
-        if self.hidden < 1:
-            raise InvalidInputError("hidden width must be >= 1")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ShapeError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
+    preset: str
+    hidden: int
+
+    @property
+    def pooling(self) -> str:
+        return PRESETS[self.preset].pooling
 
     @cached_property
-    def layer_plan(self) -> tuple[_LayerPlan, ...]:
-        """Per layer, what the stack needs to call it, built once per config."""
-        return tuple(_LayerPlan.of(i, spec) for i, spec in enumerate(self.layers))
+    def layers(self) -> tuple[_LayerPlan, ...]:
+        """Per graph layer, what the stack needs to call it."""
+        p, h = PRESETS[self.preset], self.hidden
+        return tuple(_LayerPlan.of(i, kind, FEATURE_DIM if i == 0 else h, h,
+                                   p.heads if kind == "gat" else 1)
+                     for i, kind in enumerate(p.kinds))
+
+    @cached_property
+    def tensor_specs(self) -> dict[str, tuple[tuple, tuple | None]]:
+        """Every tensor's shape and Glorot fans (None: zeros), in
+        ``init_params`` draw order, which is also the checkpoint's."""
+        h = self.hidden
+        specs = {key: spec for layer in self.layers
+                 for key, spec in zip(layer.keys, layer.specs)}
+        specs.update({"mlp1.W": ((h, h), (h, h)), "mlp1.b": ((h,), None),
+                      "head_t.W": ((h, 4), (h, 4)), "head_t.b": ((4,), None),
+                      "head_q.W": ((h, 4), (h, 4)), "head_q.b": ((4,), None)})
+        return specs
 
 
 def preset_config(name: str, hidden: int = 64) -> ModelConfig:
-    """Named stacks from the experiment tables; layer order follows the name,
-    and the first layer takes the 6-D node features."""
-    if name == "GAT+2GCN":
-        layers = (LayerSpec("gat", 6, hidden, heads=4),
-                  LayerSpec("gcn", hidden, hidden),
-                  LayerSpec("gcn", hidden, hidden))
-        return ModelConfig(layers, pooling="mean", hidden=hidden)
-    if name == "3GCN+GAT":
-        layers = (LayerSpec("gcn", 6, hidden),
-                  LayerSpec("gcn", hidden, hidden),
-                  LayerSpec("gcn", hidden, hidden),
-                  LayerSpec("gat", hidden, hidden, heads=4))
-        return ModelConfig(layers, pooling="mean", hidden=hidden)
-    if name == "GIN_SumPool":
-        layers = (LayerSpec("gin", 6, hidden),
-                  LayerSpec("gin", hidden, hidden))
-        return ModelConfig(layers, pooling="sum", hidden=hidden)
-    raise InvalidInputError(f"unknown preset {name!r}")
+    """The named stack from the experiment tables at width ``hidden``."""
+    if name not in PRESETS:
+        raise InvalidInputError(f"unknown preset {name!r}")
+    heads = PRESETS[name].heads
+    if hidden < 1 or hidden % heads:
+        raise InvalidInputError(f"{name} needs a hidden width that is a positive "
+                                f"multiple of {heads}, got {hidden}")
+    return ModelConfig(name, hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -157,76 +153,55 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-a, a, size=shape)
 
 
-def _dense(rng, spec):
-    return _glorot(rng, spec.in_dim, spec.out_dim, (spec.in_dim, spec.out_dim))
-
-
-def _bias(rng, spec):
-    return np.zeros(spec.out_dim)
-
-
-def _gat_w(rng, spec):
-    dh = spec.out_dim // spec.heads
-    return _glorot(rng, spec.in_dim, dh, (spec.heads, spec.in_dim, dh))
-
-
-def _gat_a(rng, spec):
-    dh = spec.out_dim // spec.heads
-    return _glorot(rng, 2 * dh, 1, (spec.heads, dh))
-
-
-# The one layer table: per kind, its tensors in the order its forward takes
-# them, each with its initializer (called in this order, so the RNG draws and
-# the checkpoint's tensor order follow the table).  The layer functions are
-# found by module-global name at call time (``f"{kind}_forward"``), never
-# held here, so rebinding ``nn.gcn_forward`` and the others reaches every call.
+# The one layer table: per kind, from the layer's (in, out, heads), each
+# tensor's shape and Glorot fans (None for zeros), in the order its forward
+# takes them.  ``init_params`` draws in this order, so the RNG draws and the
+# checkpoint's tensor order follow the table.  The layer functions are found
+# by module-global name at call time (``f"{kind}_forward"``), never held
+# here, so rebinding ``nn.gcn_forward`` and the others reaches every call.
 _LAYER_TENSORS = {
-    "gcn": {"W": _dense, "b": _bias},
-    "gat": {"W": _gat_w, "a_src": _gat_a, "a_dst": _gat_a, "b": _bias},
-    "gin": {"eps": lambda rng, spec: np.zeros(()),
-            "W1": _dense, "b1": _bias,
-            "W2": lambda rng, spec: _glorot(rng, spec.out_dim, spec.out_dim,
-                                            (spec.out_dim, spec.out_dim)),
-            "b2": _bias},
+    "gcn": lambda i, o, h: {"W": ((i, o), (i, o)), "b": ((o,), None)},
+    "gat": lambda i, o, h: {"W": ((h, i, o // h), (i, o // h)),
+                            "a_src": ((h, o // h), (2 * (o // h), 1)),
+                            "a_dst": ((h, o // h), (2 * (o // h), 1)),
+                            "b": ((o,), None)},
+    "gin": lambda i, o, h: {"eps": ((), None), "W1": ((i, o), (i, o)),
+                            "b1": ((o,), None), "W2": ((o, o), (o, o)),
+                            "b2": ((o,), None)},
 }
 LAYER_KINDS = tuple(_LAYER_TENSORS)
 
 
 class _LayerPlan(NamedTuple):
-    """One layer's dispatch data: its spec, the module-global names of its
-    forward and backward, its tensor names and their ``L{i}.{name}`` keys,
-    and a getter of those tensors in forward order."""
+    """One graph layer: its kind, widths and heads, the module-global names
+    of its forward and backward, its tensor names, their ``L{i}.{name}``
+    keys and (shape, fans) specs, and a getter of those tensors in forward
+    order."""
 
-    spec: LayerSpec
+    kind: str
+    in_dim: int
+    out_dim: int
+    heads: int
     forward: str
     backward: str
     names: tuple[str, ...]
     keys: tuple[str, ...]
+    specs: tuple
     tensors: itemgetter
 
     @classmethod
-    def of(cls, i: int, spec: LayerSpec) -> _LayerPlan:
-        names = tuple(_LAYER_TENSORS[spec.kind])
-        keys = tuple(f"L{i}.{name}" for name in names)
-        return cls(spec, f"{spec.kind}_forward", f"{spec.kind}_backward",
-                   names, keys, itemgetter(*keys))
+    def of(cls, i: int, kind: str, in_dim: int, out_dim: int, heads: int) -> _LayerPlan:
+        table = _LAYER_TENSORS[kind](in_dim, out_dim, heads)
+        keys = tuple(f"L{i}.{name}" for name in table)
+        return cls(kind, in_dim, out_dim, heads, f"{kind}_forward", f"{kind}_backward",
+                   tuple(table), keys, tuple(table.values()), itemgetter(*keys))
 
 
 def init_params(config: ModelConfig, seed=0) -> ModelParams:
     """Uniform Glorot weights, zero biases, zero GIN epsilon."""
     rng = np.random.default_rng(seed)
-    t: dict[str, np.ndarray] = {}
-    for i, spec in enumerate(config.layers):
-        for name, init in _LAYER_TENSORS[spec.kind].items():
-            t[f"L{i}.{name}"] = init(rng, spec)
-    trunk_in = config.layers[-1].out_dim
-    t["mlp1.W"] = _glorot(rng, trunk_in, config.hidden, (trunk_in, config.hidden))
-    t["mlp1.b"] = np.zeros(config.hidden)
-    t["head_t.W"] = _glorot(rng, config.hidden, 4, (config.hidden, 4))
-    t["head_t.b"] = np.zeros(4)
-    t["head_q.W"] = _glorot(rng, config.hidden, 4, (config.hidden, 4))
-    t["head_q.b"] = np.zeros(4)
-    return ModelParams(t)
+    return ModelParams({key: _glorot(rng, *fans, shape) if fans else np.zeros(shape)
+                        for key, (shape, fans) in config.tensor_specs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +245,8 @@ def graph_tensors(g) -> GraphTensors:
 
 
 # ---------------------------------------------------------------------------
-# Activations / small math
+# Small math
 # ---------------------------------------------------------------------------
-
-def _act(P, kind):
-    if kind == "relu":
-        return np.maximum(P, 0.0)
-    return P
-
-
-def _act_back(dY, P, kind):
-    if kind == "relu":
-        return dY * (P > 0)
-    return dY
-
 
 def _softplus(x: float) -> float:
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
@@ -303,32 +266,26 @@ _LEAKY_SLOPE = 0.2
 # Layer forward/backward
 # ---------------------------------------------------------------------------
 
-def _check_shape(H, spec: LayerSpec):
-    if H.ndim != 2 or H.shape[1] != spec.in_dim:
-        raise ShapeError(f"{spec.kind} layer expects (N, {spec.in_dim}), got {H.shape}")
-
-
-def gcn_forward(H, gt: GraphTensors, W, b, activation="none"):
-    """H' = act(A_hat @ H @ W + b) with A_hat = D^-1/2 (A + I) D^-1/2."""
+def gcn_forward(H, gt: GraphTensors, W, b):
+    """H' = relu(A_hat @ H @ W + b) with A_hat = D^-1/2 (A + I) D^-1/2."""
     AH = gt.a_hat @ H
     P = AH @ W + b
-    Y = _act(P, activation)
-    return Y, {"H": H, "AH": AH, "P": P, "W": W, "act": activation}
+    return np.maximum(P, 0.0), {"H": H, "AH": AH, "P": P, "W": W}
 
 
 def gcn_backward(dY, cache, gt: GraphTensors):
-    dP = _act_back(dY, cache["P"], cache["act"])
+    dP = dY * (cache["P"] > 0)
     dW = cache["AH"].T @ dP
     db = dP.sum(axis=0)
     dH = gt.a_hat.T @ (dP @ cache["W"].T)
     return dH, {"W": dW, "b": db}
 
 
-def gat_forward(H, gt: GraphTensors, W, a_src, a_dst, b, activation="none"):
+def gat_forward(H, gt: GraphTensors, W, a_src, a_dst, b):
     """Multi-head attention over each node's neighborhood plus itself.
 
     Per head: logits leaky_relu(a_src . z_i + a_dst . z_j) softmaxed over
-    j in N(i) u {i}; heads are concatenated, then bias and activation.
+    j in N(i) u {i}; heads are concatenated, then bias and relu.
     The softmax runs on the attention edge list: ``raw`` and ``alpha`` are
     (heads, E), and per-node sums are segment reductions over the
     row-sorted edges.  The message sums are one dense product per head:
@@ -355,9 +312,8 @@ def gat_forward(H, gt: GraphTensors, W, a_src, a_dst, b, activation="none"):
     A = A.reshape(heads, n, n)                            # A[h, i, j]: i attends j
     out = ZT @ A.transpose(0, 2, 1)                       # (heads, dh, n)
     P = out.transpose(2, 0, 1).reshape(n, heads * dh) + b
-    Y = _act(P, activation)
-    return Y, {"H": H, "ZT": ZT, "raw": raw, "alpha": alpha, "A": A, "P": P,
-               "W": W, "a_src": a_src, "a_dst": a_dst, "act": activation}
+    return np.maximum(P, 0.0), {"H": H, "ZT": ZT, "raw": raw, "alpha": alpha, "A": A,
+                                "P": P, "W": W, "a_src": a_src, "a_dst": a_dst}
 
 
 def gat_backward(dY, cache, gt: GraphTensors):
@@ -365,7 +321,7 @@ def gat_backward(dY, cache, gt: GraphTensors):
     W, a_src, a_dst = cache["W"], cache["a_src"], cache["a_dst"]
     heads, dh, n = ZT.shape
     rows, cols, starts = gt.rows, gt.cols, gt.row_starts
-    dP = _act_back(dY, cache["P"], cache["act"])
+    dP = dY * (cache["P"] > 0)
     db = dP.sum(axis=0)
     G = dP.reshape(n, heads, dh).transpose(1, 2, 0)       # (heads, dh, n)
 
@@ -387,19 +343,18 @@ def gat_backward(dY, cache, gt: GraphTensors):
     return dH, {"W": dW, "a_src": da_src, "a_dst": da_dst, "b": db}
 
 
-def gin_forward(H, gt: GraphTensors, eps, W1, b1, W2, b2, activation="none"):
-    """H' = act(MLP((1 + eps) H_i + sum_j A_ij H_j)); 2-layer relu MLP."""
+def gin_forward(H, gt: GraphTensors, eps, W1, b1, W2, b2):
+    """H' = relu(MLP((1 + eps) H_i + sum_j A_ij H_j)); 2-layer relu MLP."""
     S = (1.0 + eps) * H + gt.adj @ H
     U1 = S @ W1 + b1
     A1 = np.maximum(U1, 0.0)
     P = A1 @ W2 + b2
-    Y = _act(P, activation)
-    return Y, {"H": H, "S": S, "U1": U1, "A1": A1, "P": P,
-               "eps": eps, "W1": W1, "W2": W2, "act": activation}
+    return np.maximum(P, 0.0), {"H": H, "S": S, "U1": U1, "A1": A1, "P": P,
+                                "eps": eps, "W1": W1, "W2": W2}
 
 
 def gin_backward(dY, cache, gt: GraphTensors):
-    dP = _act_back(dY, cache["P"], cache["act"])
+    dP = dY * (cache["P"] > 0)
     dW2 = cache["A1"].T @ dP
     db2 = dP.sum(axis=0)
     dA1 = dP @ cache["W2"].T
@@ -449,12 +404,16 @@ def _run_layers(gt: GraphTensors, params: ModelParams, config: ModelConfig,
     """Graph layers start..stop-1; returns the node embeddings and each
     layer's cache.  A ``start`` above 0 takes its input, and the earlier
     layers' caches, from ``base``, the layer caches of an earlier forward."""
-    H = base[start]["H"] if start else gt.x
+    if start:
+        H = base[start]["H"]
+    else:
+        H = gt.x
+        if H.ndim != 2 or H.shape[1] != FEATURE_DIM:
+            raise ShapeError(f"node features must be (N, {FEATURE_DIM}), got {H.shape}")
     T = params.tensors
     caches = list(base[:start])
-    for plan in config.layer_plan[start:stop]:
-        _check_shape(H, plan.spec)
-        H, c = globals()[plan.forward](H, gt, *plan.tensors(T), plan.spec.activation)
+    for plan in config.layers[start:stop]:
+        H, c = globals()[plan.forward](H, gt, *plan.tensors(T))
         caches.append(c)
     return H, caches
 
@@ -538,7 +497,7 @@ def model_backward(cache, dq, dt_dir, dt_raw, params: ModelParams) -> dict[str, 
     dz = T["mlp1.W"] @ dm_pre
 
     dH = _pool_backward(dz, cache["n"], config.pooling)
-    for plan, layer_cache in zip(reversed(config.layer_plan),
+    for plan, layer_cache in zip(reversed(config.layers),
                                  reversed(cache["layers"])):
         dH, g = globals()[plan.backward](dH, layer_cache, gt)
         for name, key in zip(plan.names, plan.keys):
@@ -598,32 +557,13 @@ def adam_step(params: ModelParams, grads, lr: float = 1e-4,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CKPT_HEADER = "# epigraph-ckpt v1"
-
-
-def _spec_str(spec: LayerSpec) -> str:
-    return f"{spec.kind}:{spec.in_dim}:{spec.out_dim}:{spec.heads}:{spec.activation}"
-
-
-def _spec_parse(s: str) -> LayerSpec:
-    kind, i, o, h, act = s.split(":")
-    return LayerSpec(kind, int(i), int(o), int(h), act)
-
-
-# config record -> parser of its value
-_CONFIG_RECORDS = {
-    "layers": lambda s: tuple(_spec_parse(x) for x in s.split(",")),
-    "pooling": str,
-    "hidden": int,
-}
+CKPT_HEADER = "# epigraph-ckpt v2"
+_CKPT_V1 = "# epigraph-ckpt v1"
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     meta: dict | None = None) -> None:
-    lines = [CKPT_HEADER]
-    lines.append(f"config layers {','.join(_spec_str(s) for s in config.layers)}")
-    lines.append(f"config pooling {config.pooling}")
-    lines.append(f"config hidden {config.hidden}")
+    lines = [CKPT_HEADER, f"config preset {config.preset}", f"config hidden {config.hidden}"]
     for k, v in (meta or {}).items():
         lines.append(f"meta {k} {v}")
     lines.append(f"step {params.step}")
@@ -637,34 +577,73 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         f.write("\n".join(lines) + "\n")
 
 
+def _v1_layers(config: ModelConfig) -> str:
+    """The ``config layers`` value a v1 checkpoint wrote for ``config``."""
+    return ",".join(f"{p.kind}:{p.in_dim}:{p.out_dim}:{p.heads}:relu" for p in config.layers)
+
+
+def _checkpoint_config(records: dict, v1: bool) -> ModelConfig:
+    """The model named by a checkpoint's ``config`` records, given as
+    key -> (value, line number).  A v1 checkpoint spells its stack out and
+    loads only as the preset whose stack, pooling and width it spells."""
+    keys = ("layers", "pooling", "hidden") if v1 else ("preset", "hidden")
+    for key in keys:
+        if key not in records:
+            raise FormatError(f"missing config {key} record")
+    for key, (_, line) in records.items():
+        if key not in keys:
+            raise FormatError(f"unknown config record {key!r}", line=line)
+    text, hidden_line = records["hidden"]
+    try:
+        hidden = int(text)
+    except ValueError:
+        raise FormatError(f"bad config hidden {text!r}", line=hidden_line) from None
+    if v1:
+        (layers, line), (pooling, pooling_line) = records["layers"], records["pooling"]
+        name = next((n for n in PRESETS if _v1_layers(ModelConfig(n, hidden)) == layers),
+                    None)
+        if name is None:
+            raise SchemaVersionError(f"v1 layer stack {layers!r} is no preset's at "
+                                     f"hidden {hidden}", line=line)
+        if pooling != PRESETS[name].pooling:
+            raise SchemaVersionError(f"v1 pooling {pooling!r} is not {name}'s",
+                                     line=pooling_line)
+    else:
+        name, line = records["preset"]
+        if name not in PRESETS:
+            raise FormatError(f"unknown preset {name!r}", line=line)
+    try:    # hidden by keyword, so a preset_config with a bound width still takes it
+        return preset_config(name, hidden=hidden)
+    except InvalidInputError as e:
+        raise FormatError(str(e), line=hidden_line) from None
+
+
 def load_checkpoint(path):
     """Returns (params, config, meta) reproducing forwards bit-identically.
 
-    The tensors must be exactly those ``init_params(config)`` makes, with
-    the same shapes; a checkpoint that differs raises FormatError.
+    The tensor records must name each tensor of the config once, at the
+    shape the preset table gives it; any other checkpoint raises
+    FormatError.  Each record's shape is checked before its values are
+    read.
     """
     with open(path) as f:
         raw = f.read().splitlines()
-    if not raw or raw[0] != CKPT_HEADER:
+    if not raw or raw[0] not in (CKPT_HEADER, _CKPT_V1):
         raise SchemaVersionError("missing or unsupported checkpoint header", line=1)
     pos = 1
-    cfg = {}
+    records = {}
     meta = {}
     while pos < len(raw) and raw[pos].startswith(("config ", "meta ")):
-        try:
-            tag, key, *rest = raw[pos].split(maxsplit=2)
-            val = rest[0] if rest else ""
-            if tag == "meta":
-                meta[key] = val
-            else:
-                cfg[key] = _CONFIG_RECORDS.get(key, str)(val)
-        except (ValueError, InvalidInputError) as e:
-            raise FormatError(f"bad checkpoint record: {e}", line=pos + 1) from None
+        tag, *rest = raw[pos].split(maxsplit=2)
+        if not rest:
+            raise FormatError(f"bad checkpoint record {raw[pos]!r}", line=pos + 1)
+        val = rest[1] if len(rest) > 1 else ""
+        if tag == "meta":
+            meta[rest[0]] = val
+        else:
+            records[rest[0]] = (val, pos + 1)
         pos += 1
-    try:
-        config = ModelConfig(cfg["layers"], pooling=cfg["pooling"], hidden=cfg["hidden"])
-    except (KeyError, InvalidInputError) as e:
-        raise FormatError(f"bad checkpoint config: {e}") from None
+    config = _checkpoint_config(records, raw[0] == _CKPT_V1)
     if pos >= len(raw) or not raw[pos].startswith("step "):
         raise FormatError("missing step record", line=pos + 1)
     try:
@@ -673,6 +652,7 @@ def load_checkpoint(path):
         raise FormatError(f"bad step record {raw[pos]!r}", line=pos + 1) from None
     pos += 1
 
+    specs = config.tensor_specs
     tensors, ms, vs = {}, {}, {}
     while pos < len(raw) and raw[pos].startswith("tensor "):
         parts = raw[pos].split()
@@ -681,6 +661,12 @@ def load_checkpoint(path):
             shape = tuple(int(d) for d in parts[3:3 + ndim])
         except (IndexError, ValueError) as e:
             raise FormatError(f"bad tensor record: {e}", line=pos + 1) from None
+        if name not in specs or name in tensors:
+            raise FormatError(f"tensor {name} is not one of its config's or is repeated",
+                              line=pos + 1)
+        if shape != specs[name][0]:
+            raise FormatError(f"tensor {name} has shape {shape}, its config needs "
+                              f"{specs[name][0]}", line=pos + 1)
         if pos + 3 >= len(raw):
             raise FormatError(f"truncated record for tensor {name}", line=pos + 1)
         pos += 1
@@ -699,16 +685,9 @@ def load_checkpoint(path):
         ms[name] = read_array(pos + 1)
         vs[name] = read_array(pos + 2)
         pos += 3
-    expected = init_params(config).tensors
-    missing = [k for k in expected if k not in tensors]
-    unexpected = [k for k in tensors if k not in expected]
-    if missing or unexpected:
-        raise FormatError(f"checkpoint tensors do not match its config: missing "
-                          f"{missing}, unexpected {unexpected}")
-    for name, ref in expected.items():
-        if tensors[name].shape != ref.shape:
-            raise FormatError(f"tensor {name} has shape {tensors[name].shape}, "
-                              f"its config needs {ref.shape}")
+    missing = [k for k in specs if k not in tensors]
+    if missing:
+        raise FormatError(f"checkpoint tensors do not match its config: missing {missing}")
     params = ModelParams(tensors)
     for name in tensors:
         params.m[name][...] = ms[name]
@@ -732,15 +711,11 @@ class GradCheckEntry:
 
 
 def _kink_masks(cache) -> list[np.ndarray]:
-    """Which side of its kink each ReLU input of a forward fell on: the
-    relu activations, GIN's inner ReLU, GAT's leaky branch and mlp1."""
+    """Which side of its kink each ReLU input of a forward fell on: each
+    layer's output relu, GIN's inner ReLU, GAT's leaky branch and mlp1."""
     masks = [cache["m_pre"] > 0]
     for c in cache["layers"]:
-        if c["act"] == "relu":
-            masks.append(c["P"] > 0)
-        for site in ("U1", "raw"):
-            if site in c:
-                masks.append(c[site] > 0)
+        masks += [c[site] > 0 for site in ("P", "U1", "raw") if site in c]
     return masks
 
 
@@ -799,7 +774,7 @@ def grad_check(config: ModelConfig, gtensors: GraphTensors, target,
     fd = {term: {k: np.zeros_like(v) for k, v in params.tensors.items()}
           for term in terms}
     kinks = {name: [0, 0] for name in params.tensors}
-    starts = {key: i for i, plan in enumerate(config.layer_plan) for key in plan.keys}
+    starts = {key: i for i, plan in enumerate(config.layers) for key in plan.keys}
     for name, tensor in params.tensors.items():
         resume = (cache, starts.get(name, len(config.layers)))
         flat = tensor.reshape(-1)

@@ -19,6 +19,7 @@ from .errors import (
     EpigraphError,
     FormatError,
     InvalidInputError,
+    InvalidRotationError,
     SchemaVersionError,
     UnprojectableSceneError,
     ValidationError,
@@ -284,13 +285,6 @@ def generate_scene(seed, n_points: int, depth_range, pose: Pose,
                              gt_relative=pose, pair_id=tuple(pair_id))
 
 
-def stress_scene(seed, pose: Pose, n_points: int = 200,
-                 intrinsics: Intrinsics = DEFAULT_INTRINSICS) -> CorrespondenceSet:
-    """The ~30%-inlier stress regime: noiseless inliers, 70% uniform outliers."""
-    return generate_scene(seed, n_points, (3.0, 10.0), pose, intrinsics,
-                          noise_px=0.0, outlier_fraction=0.7)
-
-
 def generate_trajectory(seed, n_frames: int, motion_model: str = "forward",
                         fps: float = 10.0, step_m: float = 0.1) -> Trajectory:
     """Smooth absolute pose sequence (camera-to-world) at the given rate.
@@ -451,11 +445,21 @@ def load_correspondences(path) -> CorrespondenceSet:
     if pending is not None:
         raise pending
 
-    return CorrespondenceSet(
-        np.ascontiguousarray(data[:, 0:2]), np.ascontiguousarray(data[:, 2:4]),
-        np.ascontiguousarray(data[:, 4]),
-        Intrinsics(fx, fy, cx, cy), width, height,
-        gt_relative=gt, pair_id=pair_id)
+    try:
+        return CorrespondenceSet(
+            np.ascontiguousarray(data[:, 0:2]), np.ascontiguousarray(data[:, 2:4]),
+            np.ascontiguousarray(data[:, 4]),
+            Intrinsics(fx, fy, cx, cy), width, height,
+            gt_relative=gt, pair_id=pair_id)
+    except ValidationError:
+        # every row passed the checks above, so a pixel lies outside the image
+        xy = data[:, :4].reshape(-1, 2, 2)
+        outside = ((xy < 0) | (xy >= (width, height))).any(axis=2)
+        row = int(outside.any(axis=1).argmax())
+        view = 0 if outside[row, 0] else 1
+        pixel = tuple(xy[row, view].tolist())
+        raise ValidationError(f"{path}: line {row_lines[row]}: p{view + 1} pixel {pixel} "
+                              f"falls outside the {width}x{height} image") from None
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -466,6 +470,8 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path, fps: float = 10.0) -> Trajectory:
+    """Read a trajectory file; a row that is not 12 finite numbers, or whose
+    3x3 block is not a rotation, raises FormatError naming its line."""
     poses = []
     with open(path) as f:
         for ln, line in enumerate(f, start=1):
@@ -476,5 +482,10 @@ def load_trajectory(path, fps: float = 10.0) -> Trajectory:
             if len(vals) != 12:
                 raise FormatError(f"expected 12 values, got {len(vals)}", line=ln)
             M = np.array(_numbers(vals, ln)).reshape(3, 4)
-            poses.append(Pose(rot_to_quat(M[:, :3]), M[:, 3]))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    q = rot_to_quat(M[:, :3])
+            except (InvalidRotationError, FloatingPointError) as e:
+                raise FormatError(f"not a rotation: {e}", line=ln) from None
+            poses.append(Pose(q, M[:, 3]))
     return Trajectory(poses, fps=fps)

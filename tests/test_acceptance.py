@@ -20,15 +20,15 @@ from epigraph.epipolar import estimate_E0, recover_pose
 from epigraph.geom import (
     Intrinsics,
     Pose,
-    essential_from_pose,
     quat_from_axis_angle,
     sampson_distances,
 )
 from epigraph.graph import Edges, EpipolarGraph, GraphParams, build_graph, sampson_filter
 from epigraph.losses import TERM_GRADS, TERM_VALUES, PoseTarget, PredictionState, total_loss
 from epigraph.metrics import dre, dte
-from epigraph.synth import generate_scene, stress_scene
+from epigraph.synth import generate_scene
 from epigraph.train import load_model, predict, split_dataset, train
+from helpers import essential_from_pose, stress_scene
 
 WIDE_FOV = Intrinsics(100.0, 100.0, 320.0, 240.0)
 

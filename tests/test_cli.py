@@ -371,7 +371,7 @@ class TestCheckpointMeta:
 MALFORMED = {
     "step": ("checkpoint.txt", "step ", "step one"),
     "tensor_ndim": ("checkpoint.txt", "tensor ", "tensor L0.W two"),
-    "layer_kind": ("checkpoint.txt", "config layers ", "config layers warp:6:16:1:relu"),
+    "preset": ("checkpoint.txt", "config preset ", "config preset warp"),
     "fps_value": ("dataset/manifest_s0p1.txt", "fps ", "fps ten"),
     "fps_bare": ("dataset/manifest_s0p1.txt", "fps ", "fps"),
     "pair_id": ("dataset/pairs_s0p1/pair_00000_00001.txt", "# pair_id ",

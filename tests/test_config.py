@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import io
 import re
 
 import pytest
@@ -8,15 +9,25 @@ from hypothesis import strategies as st
 
 from epigraph.config import (
     ExperimentConfig,
+    _records,
     decode,
     default_config,
     encode,
     parse_config,
-    serialize_config,
 )
 from epigraph.errors import ConfigError
 from epigraph.graph import VARIANTS, GraphParams
 from epigraph.losses import LossWeights
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """The INI text of every setting of ``cfg``, one section per record."""
+    cp = configparser.ConfigParser()
+    for section, record in _records(cfg).items():
+        cp[section] = encode(record)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def test_defaults_match_training_protocol():

@@ -21,8 +21,9 @@ from epigraph.errors import (
     InvalidEssentialError,
     InvalidInputError,
 )
-from epigraph.geom import Pose, essential_from_pose, quat_from_axis_angle, sampson_distances
-from epigraph.synth import DEFAULT_INTRINSICS, generate_scene, stress_scene
+from epigraph.geom import Pose, quat_from_axis_angle, sampson_distances
+from epigraph.synth import DEFAULT_INTRINSICS, generate_scene
+from helpers import essential_from_pose, stress_scene
 
 
 def small_pose(seed=0, rot_deg=6.0, t=(0.3, 0.1, 0.5)):

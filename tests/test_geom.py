@@ -7,7 +7,6 @@ from epigraph.geom import (
     Intrinsics,
     Pose,
     canonical_quat,
-    essential_from_pose,
     normalize_pixels,
     quat_from_axis_angle,
     quat_to_rot,
@@ -16,8 +15,8 @@ from epigraph.geom import (
     sampson_distances,
     skew,
     wrap_angle,
-    yaw_of,
 )
+from helpers import essential_from_pose, yaw_of
 
 
 def rodrigues(axis, angle):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from epigraph.epipolar import canonicalize_essential, estimate_E0
 from epigraph.errors import EmptyGraphError, InvalidInputError
-from epigraph.geom import Intrinsics, Pose, essential_from_pose, quat_from_axis_angle
+from epigraph.geom import Intrinsics, Pose, quat_from_axis_angle
 from epigraph.graph import (
     EpipolarGraph,
     _knn_lists,
@@ -18,7 +18,8 @@ from epigraph.graph import (
     median_kth_distance,
     sampson_filter,
 )
-from epigraph.synth import CorrespondenceSet, generate_scene, stress_scene
+from epigraph.synth import CorrespondenceSet, generate_scene
+from helpers import essential_from_pose, stress_scene
 
 WIDE_FOV = Intrinsics(100.0, 100.0, 320.0, 240.0)
 

@@ -6,13 +6,11 @@ import pytest
 from epigraph.errors import InvalidInputError, ValidationError
 from epigraph.geom import (
     Pose,
-    essential_from_pose,
     quat_from_axis_angle,
     quat_to_rot,
     quat_to_rot_jacobian,
     skew,
     wrap_angle,
-    yaw_of,
 )
 from epigraph.losses import (
     TERM_GRADS,
@@ -24,6 +22,7 @@ from epigraph.losses import (
     total_loss,
     total_loss_grad,
 )
+from helpers import essential_from_pose, yaw_of
 
 
 def unit_quat(rng):

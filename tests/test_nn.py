@@ -1,5 +1,6 @@
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from epigraph import nn
 from epigraph.config import ExperimentConfig
 from epigraph.errors import (
     EmptyGraphError,
+    FormatError,
     InvalidInputError,
     SchemaVersionError,
     ShapeError,
@@ -21,11 +23,6 @@ from epigraph.graph import VARIANTS, Edges, EpipolarGraph, GraphParams, build_ed
 from epigraph.losses import LossWeights, PoseTarget
 from epigraph.synth import generate_scene
 from epigraph.train import _ckpt_meta, graph_params_from_meta, weights_from_meta
-
-# one layer of every kind
-EVERY_KIND = (nn.LayerSpec("gcn", 6, 8), nn.LayerSpec("gat", 8, 8, heads=2),
-              nn.LayerSpec("gin", 8, 8))
-
 
 def random_edges(rng, n, degree):
     """``degree`` distinct random out-neighbors per node, weight 1."""
@@ -98,7 +95,7 @@ class TestGCN:
     def test_isolated_node_identity(self):
         gt = nn.GraphTensors(np.array([[1.0, 2.0, 3.0]]), np.zeros((1, 1)))
         W = np.eye(3)
-        Y, _ = nn.gcn_forward(gt.x, gt, W, np.zeros(3), activation="none")
+        Y, _ = nn.gcn_forward(gt.x, gt, W, np.zeros(3))
         assert np.allclose(Y, gt.x)
 
     def test_two_node_symmetry(self):
@@ -107,7 +104,7 @@ class TestGCN:
         gt = nn.GraphTensors(feats, adj)
         rng = np.random.default_rng(0)
         W = rng.normal(size=(2, 4))
-        Y, _ = nn.gcn_forward(feats, gt, W, rng.normal(size=4), "relu")
+        Y, _ = nn.gcn_forward(feats, gt, W, rng.normal(size=4))
         assert np.allclose(Y[0], Y[1])
 
     def test_dense_formula_oracle(self):
@@ -118,7 +115,7 @@ class TestGCN:
         A_tilde = gt.adj + np.eye(5)
         D = np.diag(1.0 / np.sqrt(A_tilde.sum(axis=1)))
         expect = np.maximum(D @ A_tilde @ D @ gt.x @ W + b, 0.0)
-        Y, _ = nn.gcn_forward(gt.x, gt, W, b, "relu")
+        Y, _ = nn.gcn_forward(gt.x, gt, W, b)
         assert np.abs(Y - expect).max() < 1e-12
 
     def test_weighted_adjacency_enters_normalization(self):
@@ -134,17 +131,18 @@ class TestGCN:
         A_tilde = A + np.eye(n)
         D = np.diag(1.0 / np.sqrt(A_tilde.sum(axis=1)))
         expect = np.maximum(D @ A_tilde @ D @ gt.x @ W + b, 0.0)
-        Y, _ = nn.gcn_forward(gt.x, gt, W, b, "relu")
+        Y, _ = nn.gcn_forward(gt.x, gt, W, b)
         assert np.abs(Y - expect).max() < 1e-12
 
     def test_linearity_without_activation_or_bias(self):
+        # the pre-activation P is linear in H
         gt = random_graph(3, n=6, feat_dim=4)
         rng = np.random.default_rng(4)
         W = rng.normal(size=(4, 4))
         b = np.zeros(4)
         H1 = rng.normal(size=(6, 4))
         H2 = rng.normal(size=(6, 4))
-        f = lambda H: nn.gcn_forward(H, gt, W, b, "none")[0]
+        f = lambda H: nn.gcn_forward(H, gt, W, b)[1]["P"]
         assert np.allclose(f(2.0 * H1 - 3.0 * H2), 2.0 * f(H1) - 3.0 * f(H2))
 
 
@@ -153,7 +151,7 @@ def attention_mask(gt):
     return (gt.adj > 0) | np.eye(gt.n, dtype=bool)
 
 
-def dense_gat_forward(H, gt, W, a_src, a_dst, b, activation="none"):
+def dense_gat_forward(H, gt, W, a_src, a_dst, b):
     """The dense (heads, N, N) masked-softmax GAT, kept as an oracle."""
     heads, _, dh = W.shape
     n = H.shape[0]
@@ -167,16 +165,15 @@ def dense_gat_forward(H, gt, W, a_src, a_dst, b, activation="none"):
     alpha = e / e.sum(axis=2, keepdims=True)
     out = np.einsum("hij,hjd->hid", alpha, Z)
     P = out.transpose(1, 0, 2).reshape(n, heads * dh) + b
-    Y = nn._act(P, activation)
-    return Y, {"H": H, "Z": Z, "raw": raw, "alpha": alpha, "P": P,
-               "W": W, "a_src": a_src, "a_dst": a_dst, "act": activation}
+    return np.maximum(P, 0.0), {"H": H, "Z": Z, "raw": raw, "alpha": alpha, "P": P,
+                                "W": W, "a_src": a_src, "a_dst": a_dst}
 
 
 def dense_gat_backward(dY, cache, gt):
     H, Z, raw, alpha = cache["H"], cache["Z"], cache["raw"], cache["alpha"]
     W, a_src, a_dst = cache["W"], cache["a_src"], cache["a_dst"]
     heads, n, dh = Z.shape
-    dP = nn._act_back(dY, cache["P"], cache["act"])
+    dP = dY * (cache["P"] > 0)
     db = dP.sum(axis=0)
     G = dP.reshape(n, heads, dh).transpose(1, 0, 2)
     dalpha = np.einsum("hid,hjd->hij", G, Z)
@@ -200,7 +197,7 @@ class TestGAT:
         rng = np.random.default_rng(5)
         W = rng.normal(size=(2, 2, 2))
         Y, cache = nn.gat_forward(gt.x, gt, W, rng.normal(size=(2, 2)),
-                                  rng.normal(size=(2, 2)), np.zeros(4), "none")
+                                  rng.normal(size=(2, 2)), np.zeros(4))
         assert cache["alpha"].shape == (2, 1)
         assert np.allclose(cache["alpha"][:, 0], 1.0)
 
@@ -208,7 +205,7 @@ class TestGAT:
         gt = random_graph(6, n=8, feat_dim=3)
         W = np.random.default_rng(7).normal(size=(1, 3, 4))
         zeros = np.zeros((1, 4))
-        _, cache = nn.gat_forward(gt.x, gt, W, zeros, zeros, np.zeros(4), "none")
+        _, cache = nn.gat_forward(gt.x, gt, W, zeros, zeros, np.zeros(4))
         alpha = np.zeros((8, 8))
         alpha[gt.rows, gt.cols] = cache["alpha"][0]
         mask = attention_mask(gt)
@@ -267,7 +264,7 @@ class TestGAT:
             gt = nn.graph_tensors(EpipolarGraph(feats, Edges(src, dst, w), np.arange(n)))
         dh = 3
         args = (rng.normal(size=(heads, 5, dh)), rng.normal(size=(heads, dh)),
-                rng.normal(size=(heads, dh)), rng.normal(size=heads * dh), "relu")
+                rng.normal(size=(heads, dh)), rng.normal(size=heads * dh))
         Y, cache = nn.gat_forward(feats, gt, *args)
         Y_ref, cache_ref = dense_gat_forward(feats, gt, *args)
         assert np.abs(Y - Y_ref).max() < 1e-12
@@ -289,7 +286,7 @@ class TestGAT:
         a_src = rng.normal(size=(heads, dh))
         a_dst = rng.normal(size=(heads, dh))
         b = rng.normal(size=heads * dh)
-        Y, _ = nn.gat_forward(gt.x, gt, W, a_src, a_dst, b, "relu")
+        Y, _ = nn.gat_forward(gt.x, gt, W, a_src, a_dst, b)
 
         def leaky(x):
             return x if x > 0 else 0.2 * x
@@ -315,9 +312,10 @@ class TestGIN:
         rng = np.random.default_rng(10)
         W1, b1 = rng.normal(size=(2, 3)), rng.normal(size=3)
         W2, b2 = rng.normal(size=(3, 3)), rng.normal(size=3)
-        Y, _ = nn.gin_forward(gt.x, gt, np.zeros(()), W1, b1, W2, b2, "none")
+        Y, cache = nn.gin_forward(gt.x, gt, np.zeros(()), W1, b1, W2, b2)
         expect = np.maximum(gt.x @ W1 + b1, 0) @ W2 + b2
-        assert np.allclose(Y, expect)
+        assert np.allclose(cache["P"], expect)
+        assert np.allclose(Y, np.maximum(expect, 0))
 
     def test_star_center_sum_rule(self):
         # identity MLP on positive features: center aggregates own + 3 leaves
@@ -328,7 +326,7 @@ class TestGIN:
         gt = nn.GraphTensors(feats, adj)
         eye = np.eye(2)
         Y, cache = nn.gin_forward(feats, gt, np.zeros(()), eye, np.zeros(2),
-                                  eye, np.zeros(2), "none")
+                                  eye, np.zeros(2))
         assert np.allclose(cache["S"][0], [4.0, 4.0])
         assert np.allclose(Y[0], [4.0, 4.0])
         assert np.allclose(Y[1], [2.0, 2.0])  # leaf: own + center
@@ -339,7 +337,7 @@ class TestGIN:
         eps = np.array(0.3)
         W1, b1 = rng.normal(size=(4, 5)), rng.normal(size=5)
         W2, b2 = rng.normal(size=(5, 5)), rng.normal(size=5)
-        Y, _ = nn.gin_forward(gt.x, gt, eps, W1, b1, W2, b2, "relu")
+        Y, _ = nn.gin_forward(gt.x, gt, eps, W1, b1, W2, b2)
         for i in range(6):
             s = (1 + eps) * gt.x[i] + sum(gt.adj[i, j] * gt.x[j] for j in range(6))
             expect = np.maximum(np.maximum(s @ W1 + b1, 0) @ W2 + b2, 0)
@@ -470,38 +468,52 @@ class TestLayerTable:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(nn, name, counted)
         gt = random_graph(30)
-        cfg = nn.ModelConfig(EVERY_KIND, hidden=8)
-        params = nn.init_params(cfg, seed=0)
-        _, cache = nn.model_forward(gt, params, cfg)
-        assert all(calls[n] == (n.endswith("forward")) for n in names), calls
-        grads = nn.model_backward(cache, np.ones(4), np.ones(3), 1.0, params)
-        assert all(calls[n] == 1 for n in names), calls
-        nn.forward_embeddings(gt, params, cfg, len(EVERY_KIND))
-        assert all(calls[n] == (2 if n.endswith("forward") else 1) for n in names), calls
-        assert grads.keys() == params.tensors.keys()
+        expected = dict.fromkeys(names, 0)
+        for preset in nn.PRESET_NAMES:
+            cfg = nn.preset_config(preset, hidden=8)
+            params = nn.init_params(cfg, seed=0)
+            _, cache = nn.model_forward(gt, params, cfg)
+            grads = nn.model_backward(cache, np.ones(4), np.ones(3), 1.0, params)
+            nn.forward_embeddings(gt, params, cfg, len(cfg.layers))
+            assert grads.keys() == params.tensors.keys()
+            for kind in nn.PRESETS[preset].kinds:
+                expected[f"{kind}_forward"] += 2
+                expected[f"{kind}_backward"] += 1
+            assert calls == expected, preset
+        assert all(calls.values())
+
+    # per preset at hidden 8: its layer tensors in draw order, and the Glorot
+    # fan_in, fan_out and shape of each drawn one; the rest are zeros
+    DRAWS = {
+        "GAT+2GCN": (["L0.W", "L0.a_src", "L0.a_dst", "L0.b", "L1.W", "L1.b",
+                      "L2.W", "L2.b"],
+                     {"L0.W": (6, 2, (4, 6, 2)), "L0.a_src": (4, 1, (4, 2)),
+                      "L0.a_dst": (4, 1, (4, 2)), "L1.W": (8, 8, (8, 8)),
+                      "L2.W": (8, 8, (8, 8))}),
+        "GIN_SumPool": (["L0.eps", "L0.W1", "L0.b1", "L0.W2", "L0.b2",
+                         "L1.eps", "L1.W1", "L1.b1", "L1.W2", "L1.b2"],
+                        {"L0.W1": (6, 8, (6, 8)), "L0.W2": (8, 8, (8, 8)),
+                         "L1.W1": (8, 8, (8, 8)), "L1.W2": (8, 8, (8, 8))}),
+    }
 
     def test_init_draw_order(self):
         # checkpoints stay byte-identical only if the RNG is drawn in this order
-        cfg = nn.ModelConfig(EVERY_KIND, hidden=8)
-        params = nn.init_params(cfg, seed=3)
-        assert list(params.tensors) == [
-            "L0.W", "L0.b", "L1.W", "L1.a_src", "L1.a_dst", "L1.b",
-            "L2.eps", "L2.W1", "L2.b1", "L2.W2", "L2.b2",
-            "mlp1.W", "mlp1.b", "head_t.W", "head_t.b", "head_q.W", "head_q.b"]
-        rng = np.random.default_rng(3)
-
-        def glorot(fan_in, fan_out, shape):
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-a, a, size=shape)
-
-        drawn = {"L0.W": glorot(6, 8, (6, 8)), "L1.W": glorot(8, 4, (2, 8, 4)),
-                 "L1.a_src": glorot(8, 1, (2, 4)), "L1.a_dst": glorot(8, 1, (2, 4)),
-                 "L2.W1": glorot(8, 8, (8, 8)), "L2.W2": glorot(8, 8, (8, 8)),
-                 "mlp1.W": glorot(8, 8, (8, 8)),
-                 "head_t.W": glorot(8, 4, (8, 4)), "head_q.W": glorot(8, 4, (8, 4))}
-        for name, tensor in params.tensors.items():
-            expect = drawn.get(name, np.zeros(tensor.shape))
-            assert np.array_equal(tensor, expect), name
+        head = {"mlp1.W": (8, 8, (8, 8)), "head_t.W": (8, 4, (8, 4)),
+                "head_q.W": (8, 4, (8, 4))}
+        for preset, (layer_keys, drawn) in self.DRAWS.items():
+            params = nn.init_params(nn.preset_config(preset, hidden=8), seed=3)
+            assert list(params.tensors) == layer_keys + [
+                "mlp1.W", "mlp1.b", "head_t.W", "head_t.b", "head_q.W", "head_q.b"]
+            drawn = {**drawn, **head}
+            rng = np.random.default_rng(3)
+            for name, tensor in params.tensors.items():
+                if name in drawn:
+                    fan_in, fan_out, shape = drawn[name]
+                    a = np.sqrt(6.0 / (fan_in + fan_out))
+                    expect = rng.uniform(-a, a, size=shape)
+                else:
+                    expect = np.zeros(tensor.shape)
+                assert np.array_equal(tensor, expect), (preset, name)
 
 
 class TestAdam:
@@ -631,10 +643,10 @@ class TestGradCheck:
 
     @staticmethod
     def kinked_model():
-        """A one-layer model, its graph, and its mlp1 pre-activations.  The
+        """A width-4 model, its graph, and its mlp1 pre-activations.  The
         heads' biases keep the outputs nonzero when mlp1's outputs are."""
-        cfg = nn.ModelConfig((nn.LayerSpec("gcn", 6, 2),), hidden=2)
-        params = nn.init_params(cfg, seed=5)
+        cfg = nn.preset_config("GAT+2GCN", hidden=4)
+        params = nn.init_params(cfg, seed=3)
         params.tensors["head_t.b"][:] = params.tensors["head_q.b"][:] = 0.5
         gt = random_graph(26, n=5)
         _, cache = nn.model_forward(gt, params, cfg)
@@ -661,8 +673,9 @@ class TestGradCheck:
         b[1] = orig
         slope = (plus["m_pre"] - m_pre) / h
         assert np.all(np.abs(slope) > 0.01)
-        # the -h probe of L0.b[1] moves m_pre[0] across 0, the +h probe m_pre[1]
-        params.tensors["mlp1.b"] += np.array([0.5, -0.5]) * h * slope - m_pre
+        # the -h probe of L0.b[1] moves m_pre[0] and m_pre[2] across 0, the +h
+        # probe m_pre[1] and m_pre[3]
+        params.tensors["mlp1.b"] += np.array([0.5, -0.5, 0.5, -0.5]) * h * slope - m_pre
         report = nn.grad_check(cfg, gt, random_target(4), params=params)
         kinked = [e for e in report if e.tensor == "L0.b"]
         assert kinked and all(e.two_sided == 1 and not e.ok for e in kinked)
@@ -677,7 +690,7 @@ class TestGradCheck:
         forward = nn.model_forward
         monkeypatch.setattr(nn, "model_forward",
                             lambda *a, **kw: forwards.append(1) or forward(*a, **kw))
-        cfg = nn.ModelConfig((nn.LayerSpec("gcn", 6, 2),), hidden=2)
+        cfg = nn.preset_config("3GCN+GAT", hidden=4)
         params = nn.init_params(cfg, seed=5)
         probes = sum(t.size for t in params.tensors.values())
         report = nn.grad_check(cfg, random_graph(26, n=5), random_target(4),
@@ -824,6 +837,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="missing \\['L0.W'\\]"):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["L0.W", "head_q.b"])
+    def test_repeated_tensor_rejected(self, tmp_path, name):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(next(ln for ln in lines if ln.startswith(f"tensor {name} ")))
+        write_lines(path, lines + lines[at:at + 4])
+        with pytest.raises(FormatError, match=f"^line {len(lines) + 1}: tensor {name} "):
+            nn.load_checkpoint(path)
+
     def test_reshaped_tensor_rejected(self, tmp_path):
         from epigraph.errors import FormatError
         path, lines = self._saved_lines(tmp_path)
@@ -893,33 +914,141 @@ class TestConfigObjects:
         assert cfg.pooling == "sum"
 
     def test_gat_heads_divisibility(self):
-        with pytest.raises(InvalidInputError):
-            nn.LayerSpec("gat", 6, 62, heads=4)
-
-    def test_dim_chain_validated(self):
-        with pytest.raises(ShapeError):
-            nn.ModelConfig((nn.LayerSpec("gcn", 6, 64), nn.LayerSpec("gcn", 32, 64)))
+        with pytest.raises(InvalidInputError, match="multiple of 4, got 62"):
+            nn.preset_config("GAT+2GCN", hidden=62)
 
     def test_only_preset_kinds_and_nonempty_stacks(self):
         assert nn.LAYER_KINDS == ("gcn", "gat", "gin")
-        assert nn.ACTIVATIONS == ("relu", "none")
+        assert nn.PRESET_NAMES == tuple(nn.PRESETS)
+        for preset in nn.PRESETS.values():
+            assert preset.kinds and set(preset.kinds) <= set(nn.LAYER_KINDS)
+            assert preset.pooling in ("mean", "sum")
         with pytest.raises(InvalidInputError, match="linear"):
-            nn.LayerSpec("linear", 6, 8)
-        with pytest.raises(InvalidInputError, match="tanh"):
-            nn.LayerSpec("gcn", 6, 8, activation="tanh")
-        with pytest.raises(InvalidInputError, match="at least one"):
-            nn.ModelConfig(())
+            nn.preset_config("linear")
+        with pytest.raises(InvalidInputError, match="got 0"):
+            nn.preset_config("GIN_SumPool", hidden=0)
 
     def test_layerless_checkpoint_is_format_error(self, tmp_path):
-        from epigraph.errors import FormatError
-        cfg = nn.preset_config("GIN_SumPool", hidden=4)
-        path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(path, nn.init_params(cfg, 0), cfg, {})
-        lines = path.read_text().splitlines()
-        assert lines[1] == "config layers gin:6:4:1:relu,gin:4:4:1:relu"
+        lines = v1_fixture("GIN_SumPool").read_text().splitlines()
         lines[1] = "config layers none"
-        path.write_text("\n".join(lines) + "\n")
+        path = write_lines(tmp_path / "model.ckpt", lines)
         with pytest.raises(FormatError, match="line 2:"):
+            nn.load_checkpoint(path)
+
+
+def v1_fixture(preset):
+    """A v1 checkpoint of ``preset`` at hidden 4, written by the last code
+    that wrote v1: seeded weights after two Adam steps, and the meta
+    ``train`` writes for a default config."""
+    return Path(__file__).parent / "fixtures" / f"ckpt_v1_{preset}.txt"
+
+
+def saved_lines(tmp_path, preset="GIN_SumPool", hidden=4):
+    """The path and lines of a fresh checkpoint."""
+    cfg = nn.preset_config(preset, hidden=hidden)
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, nn.init_params(cfg, 0), cfg, {})
+    return path, path.read_text().splitlines()
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestCheckpointVersions:
+    def test_v2_records_preset_and_hidden(self, tmp_path):
+        _, lines = saved_lines(tmp_path, "3GCN+GAT")
+        assert lines[:4] == ["# epigraph-ckpt v2", "config preset 3GCN+GAT",
+                             "config hidden 4", "step 0"]
+
+    @pytest.mark.parametrize("preset", nn.PRESET_NAMES)
+    def test_v1_preset_loads_as_the_v2_it_rewrites_to(self, preset, tmp_path):
+        v1 = v1_fixture(preset)
+        params, cfg, meta = nn.load_checkpoint(v1)
+        assert cfg == nn.preset_config(preset, hidden=4)
+        v2 = tmp_path / "model.ckpt"
+        nn.save_checkpoint(v2, params, cfg, meta)
+        # only the header and the config records differ
+        old, new = v1.read_text().splitlines(), v2.read_text().splitlines()
+        assert old[4:] == new[3:]
+        assert new[:3] == ["# epigraph-ckpt v2", f"config preset {preset}",
+                           "config hidden 4"]
+        params2, cfg2, meta2 = nn.load_checkpoint(v2)
+        assert cfg2 == cfg and meta2 == meta and params2.step == params.step == 2
+        for flat, flat2 in ((params.flat, params2.flat), (params.flat_m, params2.flat_m),
+                            (params.flat_v, params2.flat_v)):
+            assert np.array_equal(bits(flat), bits(flat2))
+        gt = random_graph(40)
+        out, _ = nn.model_forward(gt, params, cfg)
+        out2, _ = nn.model_forward(gt, params2, cfg2)
+        assert out.q.tobytes() == out2.q.tobytes()
+        assert out.t_dir.tobytes() == out2.t_dir.tobytes() and out.t_raw == out2.t_raw
+
+    # (fixture, line index, replacement): a v1 stack that spells no preset
+    NOT_A_PRESET = {
+        "gcn_sum_pooling": ("3GCN+GAT", 2, "config pooling sum"),
+        "none_activation": ("3GCN+GAT", 1, "config layers gcn:6:4:1:none,gcn:4:4:1:relu,"
+                                           "gcn:4:4:1:relu,gat:4:4:4:relu"),
+        "warp_kind": ("3GCN+GAT", 1, "config layers warp:6:4:1:relu,gcn:4:4:1:relu,"
+                                     "gcn:4:4:1:relu,gat:4:4:4:relu"),
+        "gat_heads": ("GAT+2GCN", 1, "config layers gat:6:4:2:relu,gcn:4:4:1:relu,"
+                                     "gcn:4:4:1:relu"),
+        "other_hidden": ("GIN_SumPool", 3, "config hidden 8"),
+        "gin_mean_pooling": ("GIN_SumPool", 2, "config pooling mean"),
+    }
+
+    @pytest.mark.parametrize("case", list(NOT_A_PRESET))
+    def test_v1_stack_that_spells_no_preset_is_refused(self, case, tmp_path):
+        preset, at, replacement = self.NOT_A_PRESET[case]
+        lines = v1_fixture(preset).read_text().splitlines()
+        lines[at] = replacement
+        path = write_lines(tmp_path / "model.ckpt", lines)
+        # a changed hidden leaves the layer line spelling another width
+        line = 2 if case == "other_hidden" else at + 1
+        with pytest.raises(SchemaVersionError, match=f"^line {line}: v1 "):
+            nn.load_checkpoint(path)
+
+    # widths no tensor record of a hidden-4 checkpoint matches; the first is
+    # too wide for numpy to allocate, the second would take seconds to draw
+    @pytest.mark.parametrize("hidden", ["9" * 30, "100000"])
+    def test_hidden_no_tensor_matches_names_the_first_tensor(self, hidden, tmp_path):
+        path, lines = saved_lines(tmp_path)
+        lines[2] = f"config hidden {hidden}"
+        write_lines(path, lines)
+        # L0.eps is a scalar at every width; L0.W1 is (6, hidden)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("tensor L0.W1 "))
+        with pytest.raises(FormatError, match=f"^line {at + 1}: tensor L0.W1 has shape"):
+            nn.load_checkpoint(path)
+
+    def test_loading_draws_no_weights(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew weights")
+
+        path, _ = saved_lines(tmp_path, "3GCN+GAT")
+        monkeypatch.setattr(nn, "init_params", refuse)
+        monkeypatch.setattr(nn, "_glorot", refuse)
+        for ckpt in (path, v1_fixture("GIN_SumPool")):
+            params, _, _ = nn.load_checkpoint(ckpt)
+            assert params.flat.size > 0
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_unknown_config_record_names_its_line(self, tmp_path, version):
+        if version == "v1":
+            lines = v1_fixture("GIN_SumPool").read_text().splitlines()
+            lines.insert(4, "config heads 1")
+        else:
+            _, lines = saved_lines(tmp_path)
+            lines.insert(3, "config pooling sum")
+        path = write_lines(tmp_path / "model.ckpt", lines)
+        with pytest.raises(FormatError, match="^line [45]: unknown config record"):
+            nn.load_checkpoint(path)
+
+    def test_unknown_v2_preset_names_its_line(self, tmp_path):
+        path, lines = saved_lines(tmp_path)
+        lines[1] = "config preset GIN_MeanPool"
+        write_lines(path, lines)
+        with pytest.raises(FormatError, match="^line 2: unknown preset 'GIN_MeanPool'"):
             nn.load_checkpoint(path)
 
 

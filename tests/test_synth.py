@@ -23,11 +23,10 @@ from epigraph.errors import (
 from epigraph.geom import (
     Intrinsics,
     Pose,
-    essential_from_pose,
     quat_from_axis_angle,
     relative_pose,
+    rot_to_quat,
     sampson_distances,
-    yaw_of,
 )
 from epigraph.synth import (
     CorrespondenceSet,
@@ -40,8 +39,8 @@ from epigraph.synth import (
     sample_pairs,
     save_correspondences,
     save_trajectory,
-    stress_scene,
 )
+from helpers import essential_from_pose, stress_scene, yaw_of
 
 WIDE_FOV = Intrinsics(100.0, 100.0, 320.0, 240.0)
 
@@ -552,6 +551,19 @@ class TestCorrespondenceIO:
             load_correspondences(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("row,view", [("1.0 2.0 640.0 4.0 0.5", "p2 pixel (640.0, 4.0)"),
+                                          ("1.0 -2.0 700.0 4.0 0.5", "p1 pixel (1.0, -2.0)")])
+    def test_out_of_image_pixel_names_file_and_line(self, tmp_path, row, view):
+        path = tmp_path / "bad.txt"
+        path.write_text("# epigraph-corr v1 640 480 500.0 500.0 320.0 240.0\n"
+                        "1.0 2.0 3.0 4.0 0.5\n"
+                        f"{row}\n"
+                        "1.0 2.0 3.0 500.0 0.5\n")
+        with pytest.raises(ValidationError) as exc:
+            load_correspondences(path)
+        assert str(exc.value) == (f"{path}: line 3: {view} falls outside "
+                                  f"the 640x480 image")
+
 
 def load_line_by_line(path):
     """The data lines of a correspondence file checked and converted one line
@@ -721,6 +733,34 @@ class TestTrajectoryIO:
         with pytest.raises(FormatError) as exc:
             load_trajectory(path)
         assert exc.value.line == 1
+
+    # the first value of the third row: off by 0.5, or so large R R^T overflows
+    @pytest.mark.parametrize("value", ["0.5", "1e308"])
+    def test_row_that_is_no_rotation_names_its_line(self, tmp_path, value):
+        path = tmp_path / "traj.txt"
+        save_trajectory(generate_trajectory(5, 4, "random-walk"), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split()
+        row[0] = repr(float(row[0]) + 0.5) if value == "0.5" else value
+        lines[2] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="^line 3: not a rotation"):
+            load_trajectory(path)
+
+    def test_generated_trajectories_load_bit_identically(self, tmp_path):
+        # the row checks refuse no trajectory the generator writes, and move no bit
+        path = tmp_path / "traj.txt"
+        for seed in range(20):
+            for motion in ("forward", "arc", "random-walk"):
+                save_trajectory(generate_trajectory(seed, 81, motion), path)
+                back = load_trajectory(path)
+                rows = np.array([[float(v) for v in line.split()]
+                                 for line in path.read_text().splitlines()]).reshape(-1, 3, 4)
+                assert len(back) == len(rows) == 81
+                for pose, M in zip(back.poses, rows):
+                    ref = Pose(rot_to_quat(M[:, :3]), M[:, 3])
+                    assert pose.q.tobytes() == ref.q.tobytes()
+                    assert pose.t.tobytes() == ref.t.tobytes()
 
 
 class TestCorrespondenceSetValidation:
